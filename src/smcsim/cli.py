@@ -21,6 +21,7 @@ from .core import ultimate_band
 from .errors import ConfigError, ParameterError, SimulationDiverged, SmcError
 from .sim import (
     compute_metrics,
+    csv_precision,
     lyapunov_trace,
     run_scenario,
     certificate_summary,
@@ -63,10 +64,10 @@ def _metrics_lines(name, metrics):
     return lines
 
 
-def _write_outputs(out_dir, name, log, metrics, extra=None):
+def _write_outputs(out_dir, name, log, metrics, precision, extra=None):
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{name}.csv")
-    write_csv(log, csv_path)
+    write_csv(log, csv_path, precision)
     payload = {"meta": log.meta, "metrics": metrics.as_dict()}
     if extra:
         payload.update(extra)
@@ -90,6 +91,7 @@ def _overrides(args):
 
 
 def cmd_run(args):
+    precision = csv_precision()
     path = resolve_scenario(args.scenario)
     scenario = load_scenario(path, overrides=_overrides(args))
     log = run_scenario(scenario)
@@ -101,14 +103,14 @@ def cmd_run(args):
         p = ctl.params
         if p.k > 0.0:
             mu = scenario.plant.true_bound
-            sigma = mu + 1.0 / (p.k * p.rho)
-            v0 = abs(log.s[0]) + log.gain[0] / p.k
-            b = 0.5 * (sigma / p.k + v0)
-            r2 = verify_ultimate_bound(log, p.k, p.rho, mu, b)
-            metrics.ultimate_bound_satisfied = r2.holds
+            v0 = float(abs(log.s[0]) + log.gain[0] / p.k)
+            bounds, _ = certificate_summary(mu, p.rho, p.phi, p.k, v0=v0)
+            r2 = verify_ultimate_bound(log, p.k, p.rho, mu, bounds.b)
+            # Outside the certificate's preconditions there is nothing to satisfy.
+            metrics.ultimate_bound_satisfied = r2.holds if r2.applicable else None
             extra["ultimate_bound"] = {"applicable": r2.applicable, "holds": r2.holds,
-                                 "T": r2.T, "b": r2.b, "sigma": r2.sigma}
-    csv_path = _write_outputs(args.out, scenario.name, log, metrics, extra)
+                                       "T": r2.T, "b": r2.b, "sigma": bounds.sigma}
+    csv_path = _write_outputs(args.out, scenario.name, log, metrics, precision, extra)
     print(f"wrote {csv_path}")
     for line in _metrics_lines(scenario.name, metrics):
         print(line)
@@ -118,6 +120,7 @@ def cmd_run(args):
 def cmd_compare(args):
     if len(args.scenarios) < 2:
         raise ConfigError("compare needs at least two scenario files")
+    precision = csv_precision()
     scenarios = [load_scenario(resolve_scenario(p)) for p in args.scenarios]
 
     shared = None
@@ -143,7 +146,7 @@ def cmd_compare(args):
     for sc in scenarios:
         log = run_scenario(sc)
         metrics = compute_metrics(log, phi)
-        _write_outputs(args.out, sc.name, log, metrics)
+        _write_outputs(args.out, sc.name, log, metrics, precision)
         rows.append((sc.name, metrics))
 
     fields = ("reach_time_to_band", "steady_band_mean", "steady_band_max",

@@ -153,8 +153,8 @@ def _build_signal(spec, base_dir):
         return TableSignal.from_csv(path, spec["bound"])
     except ParameterError as exc:
         raise ConfigError(f"uncertainty: {exc}") from exc
-    except OSError as exc:
-        raise ConfigError(f"uncertainty.path: cannot read table ({exc})") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"uncertainty.path: cannot read table {path!r} ({exc})") from exc
 
 
 def normalize_config(raw, path_hint="scenario"):

@@ -72,6 +72,12 @@ def adaptation_shape(s: float, phi: float) -> float:
     never exceeded).
     """
     _require_positive("phi", phi)
+    return _adaptation_shape(s, phi)
+
+
+def _adaptation_shape(s: float, phi: float) -> float:
+    """adaptation_shape without the check on phi, for a caller that validated
+    phi once (the controller's per-step path)."""
     t = abs(s) + phi
     return 1.0 - 2.0 * phi * phi / (t * t)
 

@@ -1,27 +1,47 @@
 """Plant models, sliding surfaces and bounded disturbance signals.
 
-Plants expose three methods used by the runner:
+Every time-dependent input of a plant (disturbances, the multiplicative
+factor, the reference) is a closed form of t alone. A plant therefore splits
+into a vectorized part and a scalar part:
 
-    deriv(x, t, u)    -> tuple of state derivatives (the true plant, with
-                         uncertainty injected in the actuated channel only)
-    surface(x, t)     -> SurfaceEval(s, h, g) with h, g from the NOMINAL
-                         model; controllers never see the uncertainty
-    uncertainty(x, t) -> the matched disturbance entering the s-dynamics,
-                         logged by the harness for diagnostics
+    inputs(t)                    -> one input w per instant of the array t,
+                                    evaluated with numpy in one pass
+    rhs(x1, x2, w, u)            -> (x1_dot, x2_dot) of the true plant, with
+                                    uncertainty in the actuated channel only
+    sliding(x1, x2, w)           -> (s, h, g) with h, g from the NOMINAL model;
+                                    controllers never see the uncertainty
+    disturbance(x1, x2, w)       -> the matched disturbance entering the
+                                    s-dynamics, logged for diagnostics
 
-``true_bound`` is the declared bound on that disturbance when one exists
-(simulator-side knowledge, hidden from controllers); ``None`` for the
+The runner evaluates ``inputs`` once per block of instants and calls the
+scalar methods per step. Plants have at most two states; a first-order plant
+ignores x2 and returns 0.0 as its rate. The public ``deriv(x, t, u)``,
+``surface(x, t)`` and ``uncertainty(x, t)`` take a state tuple and a time and
+wrap the same methods.
+
+``true_bound`` is the declared bound on the matched disturbance when one
+exists (simulator-side knowledge, hidden from controllers); ``None`` for the
 tracking plant whose matched uncertainty is state-dependent.
 
-All signals are deterministic closed forms of t, so repeated evaluation is
-bit-identical.
+Each signal has one formula, ``values(t)`` over an array of instants;
+``value(t)`` evaluates it at a single instant. Evaluation is deterministic,
+and it matches a scalar math-module evaluation bit for bit wherever numpy's
+float64 sin and cos round as math.sin and math.cos do, which
+tests/test_equivalence.py checks on the instants the runner uses.
 """
 
 import csv
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import DomainError, ParameterError
+
+# Instants evaluated per vectorized call by the runner and the bound check:
+# large enough to amortize numpy's per-call cost, small enough that the
+# per-instant inputs take little memory next to the log.
+BLOCK = 1024
 
 
 class SurfaceEval(NamedTuple):
@@ -37,11 +57,20 @@ def _check_finite(name, values):
             raise ParameterError(f"{name} must be finite numbers, got {values!r}")
 
 
+def _instants(t):
+    return np.asarray(t, dtype=float)
+
+
 # ---------------------------------------------------------------------------
 # Disturbance signals
 
 
-class MultiSineSignal:
+class _Signal:
+    def value(self, t: float) -> float:
+        return float(self.values([t])[0])
+
+
+class MultiSineSignal(_Signal):
     """Sum of sines: sum_i a_i*sin(w_i*t + p_i), with declared bound mu."""
 
     kind = "smooth_multi_sine"
@@ -58,14 +87,15 @@ class MultiSineSignal:
         self.terms = tuple(zip(amplitudes, frequencies, phases))
         self.bound = bound
 
-    def value(self, t: float) -> float:
-        total = 0.0
+    def values(self, t):
+        t = _instants(t)
+        total = np.zeros(t.shape)
         for a, w, p in self.terms:
-            total += a * math.sin(w * t + p)
+            total += a * np.sin(w * t + p)
         return total
 
 
-class SquareSignal:
+class SquareSignal(_Signal):
     """Square wave flipping sign every half_period, with a piecewise-constant
     amplitude schedule [(start_time, amplitude), ...].
 
@@ -92,18 +122,18 @@ class SquareSignal:
         self.half_period = half_period
         self.schedule = tuple(amplitudes)
         self.bound = bound
+        self._starts = np.array(starts, dtype=float)
+        self._amps = np.array([a for _, a in amplitudes], dtype=float)
 
-    def value(self, t: float) -> float:
-        amp = self.schedule[0][1]
-        for t0, a in self.schedule:
-            if t >= t0:
-                amp = a
-            else:
-                break
-        return amp if int(t // self.half_period) % 2 == 0 else -amp
+    def values(self, t):
+        t = _instants(t)
+        # The amplitude of the last schedule entry starting at or before t.
+        idx = np.searchsorted(self._starts, t, side="right") - 1
+        amp = self._amps[np.maximum(idx, 0)]
+        return np.where(np.floor_divide(t, self.half_period) % 2 == 0, amp, -amp)
 
 
-class TableSignal:
+class TableSignal(_Signal):
     """Linear interpolation through a (t, value) table; t outside the table
     is a domain error."""
 
@@ -114,51 +144,60 @@ class TableSignal:
             raise ParameterError("table needs at least two (t, value) rows of equal length")
         _check_finite("table times", list(times))
         _check_finite("table values", list(values))
-        if list(times) != sorted(times):
+        if any(b <= a for a, b in zip(times, times[1:])):
             raise ParameterError("table times must be strictly increasing")
         _check_finite("bound", bound)
         if bound <= 0.0:
             raise ParameterError(f"bound must be positive, got {bound!r}")
         self.times = tuple(times)
-        self.values = tuple(values)
+        self.levels = tuple(values)
         self.bound = bound
+        self._t = np.array(times, dtype=float)
+        self._v = np.array(values, dtype=float)
 
     @classmethod
     def from_csv(cls, path, bound):
         times, values = [], []
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
                 if not row or row[0].lstrip().startswith("#"):
                     continue
-                times.append(float(row[0]))
-                values.append(float(row[1]))
+                try:
+                    t, v = float(row[0]), float(row[1])
+                except (ValueError, IndexError):
+                    raise ParameterError(
+                        f"{path}: row {reader.line_num}: expected two numbers 't,value', "
+                        f"got {','.join(row)!r}"
+                    ) from None
+                times.append(t)
+                values.append(v)
         return cls(times, values, bound)
 
-    def value(self, t: float) -> float:
-        ts = self.times
-        if t < ts[0] or t > ts[-1]:
-            raise DomainError(f"t = {t!r} outside table horizon [{ts[0]}, {ts[-1]}]")
-        lo, hi = 0, len(ts) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ts[mid] <= t:
-                lo = mid
-            else:
-                hi = mid
+    def values(self, t):
+        t = _instants(t)
+        ts, vs = self._t, self._v
+        outside = (t < ts[0]) | (t > ts[-1])
+        if outside.any():
+            bad = float(t[outside][0])
+            raise DomainError(f"t = {bad!r} outside table horizon [{ts[0]}, {ts[-1]}]")
+        # Segment [lo, lo + 1] holding t; the last knot belongs to the last segment.
+        lo = np.minimum(np.searchsorted(ts, t, side="right") - 1, len(ts) - 2)
+        hi = lo + 1
         w = (t - ts[lo]) / (ts[hi] - ts[lo])
-        v_lo = self.values[lo]
-        return v_lo + (self.values[hi] - v_lo) * w
+        v_lo = vs[lo]
+        return v_lo + (vs[hi] - v_lo) * w
 
 
 def verify_signal_bound(signal, t_end, samples=100_000):
     """Densely sample [0, t_end] and check |value| never exceeds the bound
-    (a 1e-12 relative allowance absorbs interpolation rounding)."""
+    (a 1e-12 relative allowance absorbs interpolation rounding). Samples are
+    evaluated BLOCK at a time, which bounds the memory the check takes."""
     step = t_end / (samples - 1)
     worst = 0.0
-    for i in range(samples):
-        v = abs(signal.value(i * step))
-        if v > worst:
-            worst = v
+    for i in range(0, samples, BLOCK):
+        instants = np.arange(i, min(i + BLOCK, samples)) * step
+        worst = max(worst, float(np.max(np.abs(signal.values(instants)))))
     if worst > signal.bound * (1.0 + 1e-12):
         raise ParameterError(
             f"signal exceeds its declared bound: max |value| = {worst!r} > {signal.bound!r}"
@@ -179,21 +218,45 @@ class SineReference:
         self.amplitude = amplitude
         self.omega = omega
 
+    def values(self, t):
+        """(y_d, y_d_dot, y_d_ddot) at the instants t."""
+        wt = self.omega * _instants(t)
+        sin = np.sin(wt)
+        a, w = self.amplitude, self.omega
+        return a * sin, a * w * np.cos(wt), -a * w * w * sin
+
     def value(self, t):
-        return self.amplitude * math.sin(self.omega * t)
+        return float(self.values([t])[0][0])
 
     def rate(self, t):
-        return self.amplitude * self.omega * math.cos(self.omega * t)
+        return float(self.values([t])[1][0])
 
     def accel(self, t):
-        return -self.amplitude * self.omega * self.omega * math.sin(self.omega * t)
+        return float(self.values([t])[2][0])
 
 
 # ---------------------------------------------------------------------------
 # Plants
 
 
-class RegulationPlant:
+class _Plant:
+    """Public (x, t) wrappers over a plant's inputs/rhs/sliding/disturbance."""
+
+    def _at(self, x, t):
+        return x[0], (x[1] if len(x) > 1 else 0.0), self.inputs([t])[0]
+
+    def deriv(self, x, t, u):
+        x1, x2, w = self._at(x, t)
+        return self.rhs(x1, x2, w, u)[: self.n_states]
+
+    def surface(self, x, t) -> SurfaceEval:
+        return SurfaceEval(*self.sliding(*self._at(x, t)))
+
+    def uncertainty(self, x, t):
+        return self.disturbance(*self._at(x, t))
+
+
+class RegulationPlant(_Plant):
     """Scalar plant x_dot = df(t) + u regulated to the surface s = x."""
 
     kind = "regulation"
@@ -206,17 +269,20 @@ class RegulationPlant:
     def true_bound(self):
         return self.signal.bound
 
-    def deriv(self, x, t, u):
-        return (self.signal.value(t) + u,)
+    def inputs(self, t):
+        return self.signal.values(t).tolist()
 
-    def surface(self, x, t) -> SurfaceEval:
-        return SurfaceEval(x[0], 0.0, 1.0)
+    def rhs(self, x1, x2, w, u):
+        return w + u, 0.0
 
-    def uncertainty(self, x, t):
-        return self.signal.value(t)
+    def sliding(self, x1, x2, w):
+        return x1, 0.0, 1.0
+
+    def disturbance(self, x1, x2, w):
+        return w
 
 
-class LinearPlant:
+class LinearPlant(_Plant):
     """Scalar plant x_dot = a*x + b*u + df(t) with surface s = x.
 
     Generic matched-uncertainty case with nonzero nominal drift h = a*x and
@@ -239,17 +305,20 @@ class LinearPlant:
     def true_bound(self):
         return self.signal.bound
 
-    def deriv(self, x, t, u):
-        return (self.a * x[0] + self.b * u + self.signal.value(t),)
+    def inputs(self, t):
+        return self.signal.values(t).tolist()
 
-    def surface(self, x, t) -> SurfaceEval:
-        return SurfaceEval(x[0], self.a * x[0], self.b)
+    def rhs(self, x1, x2, w, u):
+        return self.a * x1 + self.b * u + w, 0.0
 
-    def uncertainty(self, x, t):
-        return self.signal.value(t)
+    def sliding(self, x1, x2, w):
+        return x1, self.a * x1, self.b
+
+    def disturbance(self, x1, x2, w):
+        return w
 
 
-class TrackingPlant:
+class TrackingPlant(_Plant):
     """Second-order plant with multiplicative and additive uncertainty.
 
         x1_dot = x2
@@ -259,6 +328,8 @@ class TrackingPlant:
     tracks the reference; h and g come from the nominal model (dx1 = 1, d = 0).
     Both uncertainties enter only the actuated x2 channel, so the matching
     condition holds structurally.
+
+    The input at an instant is the tuple (dx1, d, yd, yd_dot, yd_ddot).
     """
 
     kind = "tracking"
@@ -277,22 +348,24 @@ class TrackingPlant:
     # declared; the bound verifiers report not-applicable for this plant.
     true_bound = None
 
-    def deriv(self, x, t, u):
-        x1, x2 = x
-        dx1 = 1.0 + self.mult.value(t)
-        return (x2, x1 * dx1 * x2 + math.sin(x1 * dx1) + self.add.value(t) + u)
+    def inputs(self, t):
+        dx1 = 1.0 + self.mult.values(t)
+        yd, yd_dot, yd_ddot = self.reference.values(t)
+        return list(zip(dx1.tolist(), self.add.values(t).tolist(),
+                        yd.tolist(), yd_dot.tolist(), yd_ddot.tolist()))
 
-    def surface(self, x, t) -> SurfaceEval:
-        x1, x2 = x
-        r = self.reference
-        e = x1 - r.value(t)
-        e_rate = x2 - r.rate(t)
+    def rhs(self, x1, x2, w, u):
+        dx1 = w[0]
+        return x2, x1 * dx1 * x2 + math.sin(x1 * dx1) + w[1] + u
+
+    def sliding(self, x1, x2, w):
+        e = x1 - w[2]
+        e_rate = x2 - w[3]
         s = e_rate + self.lam * e
-        h = x1 * x2 + math.sin(x1) - r.accel(t) + self.lam * e_rate
-        return SurfaceEval(s, h, 1.0)
+        h = x1 * x2 + math.sin(x1) - w[4] + self.lam * e_rate
+        return s, h, 1.0
 
-    def uncertainty(self, x, t):
-        x1, x2 = x
-        dx1 = 1.0 + self.mult.value(t)
+    def disturbance(self, x1, x2, w):
+        dx1 = w[0]
         nominal = x1 * x2 + math.sin(x1)
-        return (x1 * dx1 * x2 + math.sin(x1 * dx1)) - nominal + self.add.value(t)
+        return (x1 * dx1 * x2 + math.sin(x1 * dx1)) - nominal + w[1]

@@ -19,6 +19,7 @@ the s and gain columns.
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -32,6 +33,7 @@ from .errors import (
     ParameterError,
     SimulationDiverged,
 )
+from .plants import BLOCK
 
 CSV_PRECISION_ENV = "SMCSIM_CSV_PRECISION"
 
@@ -110,23 +112,30 @@ def row_count(t_end: float, dt: float) -> int:
     return int(math.floor(q * (1.0 + 1e-12))) + 1
 
 
-def _rk4(f, x, t, u, h):
-    k1 = f(x, t, u)
-    th = t + 0.5 * h
-    x2 = tuple(xi + 0.5 * h * ki for xi, ki in zip(x, k1))
-    k2 = f(x2, th, u)
-    x3 = tuple(xi + 0.5 * h * ki for xi, ki in zip(x, k2))
-    k3 = f(x3, th, u)
-    x4 = tuple(xi + h * ki for xi, ki in zip(x, k3))
-    k4 = f(x4, t + h, u)
-    return tuple(
-        xi + h * (a + 2.0 * b + 2.0 * c + d) / 6.0
-        for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
-    )
+def rk4(rhs, x1, x2, w0, wm, w1, u, h):
+    """One classical RK4 step of length h for (x1, x2)' = rhs(x1, x2, w, u).
+
+    w0, wm and w1 are the time inputs at the start, the midpoint and the end
+    of the step. A first-order system returns 0.0 as the rate of x2, which
+    then stays 0.0.
+    """
+    hh = 0.5 * h
+    a1, b1 = rhs(x1, x2, w0, u)
+    a2, b2 = rhs(x1 + hh * a1, x2 + hh * b1, wm, u)
+    a3, b3 = rhs(x1 + hh * a2, x2 + hh * b2, wm, u)
+    a4, b4 = rhs(x1 + h * a3, x2 + h * b3, w1, u)
+    return (x1 + h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0,
+            x2 + h * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0)
 
 
 def run_scenario(scenario: Scenario) -> TrajectoryLog:
     """Simulate the closed loop and return the sampled trajectory.
+
+    Rows are processed BLOCK at a time. For each block the plant's
+    time inputs are evaluated once, vectorized, at the instants the loop
+    uses: the samples i*dt and, for substep j of length h = dt/substeps, the
+    RK4 start t_j = i*dt + j*h, midpoint t_j + 0.5*h and end t_j + h. Memory
+    beyond the log therefore stays bounded by the block.
 
     Raises SimulationDiverged when the state leaves the finite range and
     ControllabilityError when the surface reports g = 0.
@@ -137,60 +146,67 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     st = scenario.settings
     dt, substeps = st.dt, st.substeps
     n = row_count(st.t_end, dt)
-    n_states = plant.n_states
+    h = dt / substeps
+    offsets = np.arange(substeps) * h
+    substep_range = range(substeps)
 
-    t_arr = np.empty(n)
-    x_arr = np.empty((n, n_states))
-    s_arr = np.empty(n)
-    u_arr = np.empty(n)
-    gain_arr = np.empty(n)
-    rate_arr = np.empty(n)
-    df_arr = np.empty(n)
+    inputs, rhs, sliding, disturbance = (
+        plant.inputs, plant.rhs, plant.sliding, plant.disturbance)
+    step = controller.step
+    isfinite = math.isfinite
+
+    # In place, so that no log-sized temporary is freed before the log is
+    # allocated: glibc would then raise its mmap threshold and place the log
+    # on the heap, where freed logs are not returned and peak memory grows.
+    t_arr = np.arange(n, dtype=float)
+    t_arr *= dt
+    x_arr = np.empty((n, plant.n_states))
+    s_arr, u_arr, gain_arr, rate_arr, df_arr = (np.empty(n) for _ in range(5))
     v_arr = np.zeros(n)
     vp_arr = np.zeros(n)
-
+    mu = plant.true_bound
     lyap = None
-    if isinstance(controller, DeltaAdaptiveSMC) and plant.true_bound is not None:
-        p = controller.params
-        lyap = (p.phi, p.rho, p.k, plant.true_bound)
-
-    surface = plant.surface
-    step = controller.step
-    uncertainty = plant.uncertainty
-    deriv = plant.deriv
-    isfinite = math.isfinite
-    h_sub = dt / substeps
-
-    x = scenario.x0
-    for i in range(n):
-        t = i * dt
-        s, hdrift, g = surface(x, t)
-        if g == 0.0:
-            raise ControllabilityError(f"surface reported g = 0 at t = {t:.6g} s")
-        u, gain, rate = step(s, hdrift, g, dt)
-        t_arr[i] = t
-        for j in range(n_states):
-            x_arr[i, j] = x[j]
-        s_arr[i] = s
-        u_arr[i] = u
-        gain_arr[i] = gain
-        rate_arr[i] = rate
-        df_arr[i] = uncertainty(x, t)
-        if lyap is not None:
-            phi, rho, k, mu = lyap
-            a = abs(s)
-            e_gain = mu - gain
-            v_arr[i] = a * (a - phi) / (a + phi) + 0.5 * rho * e_gain * e_gain
-            if k > 0.0:
-                vp_arr[i] = a + gain / k
-        if not (isfinite(s) and isfinite(u)):
-            raise SimulationDiverged(t)
-        if i + 1 < n:
-            for j in range(substeps):
-                x = _rk4(deriv, x, t + j * h_sub, u, h_sub)
-            for v in x:
-                if not isfinite(v):
+    if isinstance(controller, DeltaAdaptiveSMC) and mu is not None:
+        lyap = controller.params
+    x1 = scenario.x0[0]
+    x2 = scenario.x0[1] if plant.n_states > 1 else 0.0
+    for c0 in range(0, n, BLOCK):
+        c1 = min(c0 + BLOCK, n)
+        grid = t_arr[c0:c1]
+        m = min(c1, n - 1) - c0  # rows that integrate on to the next sample
+        starts = (grid[:m, None] + offsets).ravel()
+        # w0 of substep 0 is the sample's input; the final row only samples.
+        w_start = inputs(np.concatenate((starts, grid[m:])))
+        w_mid = inputs(starts + 0.5 * h)
+        w_end = inputs(starts + h)
+        rows = []  # (x1, x2, s, u, gain, gain_rate, delta_f)
+        k = 0
+        for i in range(c0, c1):
+            w = w_start[k]
+            s, hdrift, g = sliding(x1, x2, w)
+            if g == 0.0:
+                raise ControllabilityError(f"surface reported g = 0 at t = {i * dt:.6g} s")
+            u, gain, rate = step(s, hdrift, g, dt)
+            rows.append((x1, x2, s, u, gain, rate, disturbance(x1, x2, w)))
+            if not (isfinite(s) and isfinite(u)):
+                raise SimulationDiverged(i * dt)
+            if i + 1 < n:
+                for _ in substep_range:
+                    x1, x2 = rk4(rhs, x1, x2, w_start[k], w_mid[k], w_end[k], u, h)
+                    k += 1
+                if not (isfinite(x1) and isfinite(x2)):
                     raise SimulationDiverged((i + 1) * dt)
+        cols = np.fromiter(chain.from_iterable(rows), float, 7 * len(rows)).reshape(-1, 7).T
+        x_arr[c0:c1] = cols[: plant.n_states].T
+        s_arr[c0:c1], u_arr[c0:c1], gain_arr[c0:c1], rate_arr[c0:c1], df_arr[c0:c1] = cols[2:]
+        if lyap is not None:
+            s_blk, gain_blk = s_arr[c0:c1], gain_arr[c0:c1]
+            v_arr[c0:c1] = lyapunov_value(s_blk, gain_blk, mu, lyap.rho, lyap.phi)
+            if lyap.k > 0.0:
+                vp_arr[c0:c1] = np.abs(s_blk) + gain_blk / lyap.k
+        # Free this block's inputs before the next block builds its own, so
+        # that two blocks' worth never coexist at the memory peak.
+        del w_start, w_mid, w_end
 
     meta = {
         "scenario": scenario.name,
@@ -202,16 +218,31 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
         "integrator": "rk4 plant substeps, euler adaptive states, zero-order-hold control",
         "package_version": __version__,
     }
-    return TrajectoryLog(
-        t_arr, x_arr, s_arr, u_arr, gain_arr, rate_arr, df_arr, v_arr, vp_arr, meta
-    )
+    return TrajectoryLog(t_arr, x_arr, s_arr, u_arr, gain_arr, rate_arr, df_arr, v_arr, vp_arr,
+                         meta)
+
+
+def csv_precision() -> int:
+    """Significant digits for write_csv: SMCSIM_CSV_PRECISION when set, else 17.
+
+    Commands that write CSVs call this before loading anything, so a bad
+    value fails fast.
+    """
+    raw = os.environ.get(CSV_PRECISION_ENV, "17")
+    try:
+        precision = int(raw)
+    except ValueError:
+        precision = 0
+    if precision < 1:
+        raise ParameterError(f"{CSV_PRECISION_ENV} must be an integer >= 1, got {raw!r}")
+    return precision
 
 
 def write_csv(log: TrajectoryLog, path, precision: Optional[int] = None):
     """Serialize the log; floats use ``precision`` significant digits
-    (default 17, overridable via the SMCSIM_CSV_PRECISION variable)."""
+    (default: csv_precision())."""
     if precision is None:
-        precision = int(os.environ.get(CSV_PRECISION_ENV, "17"))
+        precision = csv_precision()
     if precision < 1:
         raise ParameterError(f"precision must be >= 1, got {precision!r}")
     np.savetxt(
@@ -323,7 +354,8 @@ class LyapunovTrace:
 
 def lyapunov_value(s, gain, mu, rho, phi):
     a = np.abs(np.asarray(s, dtype=float))
-    return a * (a - phi) / (a + phi) + 0.5 * rho * (mu - np.asarray(gain, dtype=float)) ** 2
+    e = mu - np.asarray(gain, dtype=float)
+    return a * (a - phi) / (a + phi) + 0.5 * rho * e * e
 
 
 def lyapunov_trace(log: TrajectoryLog, mu, rho, phi, k) -> LyapunovTrace:
@@ -458,18 +490,16 @@ def worst_case_run(s0, mu_hat0, mu, m, eta, dt=1e-4, t_end=None):
     t = np.empty(n)
     s_arr = np.empty(n)
     g_arr = np.empty(n)
+
+    def rhs(sv, gv, _w, _u):
+        return -gv + mu, m * (sv + eta)
+
     s, g = float(s0), float(mu_hat0)
-
-    def f(state, _t, _u):
-        sv, gv = state
-        return (-gv + mu, m * (sv + eta))
-
-    state = (s, g)
     for i in range(n):
         t[i] = i * dt
-        s_arr[i], g_arr[i] = state
+        s_arr[i], g_arr[i] = s, g
         if i + 1 < n:
-            state = _rk4(f, state, i * dt, 0.0, dt)
+            s, g = rk4(rhs, s, g, None, None, None, 0.0, dt)
     return t, s_arr, g_arr
 
 

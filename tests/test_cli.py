@@ -57,6 +57,44 @@ class TestRun:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("bad_row", ["0.5,abc", "0.5"])
+    def test_malformed_table_row_exits_2(self, tmp_path, capsys, bad_row):
+        (tmp_path / "wave.csv").write_text(f"# t, value\n0.0,0.1\n{bad_row}\n2.0,0.1\n")
+        cfg = load_config(preset_path("regulation-smooth"))
+        cfg["integration"]["t_end"] = 1.0
+        cfg["uncertainty"] = {"kind": "custom_table", "path": "wave.csv", "bound": 1.0}
+        rc = main(["run", write_scenario(tmp_path, cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "wave.csv" in err and "row 3" in err
+
+    def test_undecodable_table_exits_2(self, tmp_path, capsys):
+        (tmp_path / "wave.csv").write_bytes(b"0.0,0.1\n\xff\xfe,0.2\n2.0,0.1\n")
+        cfg = load_config(preset_path("regulation-smooth"))
+        cfg["integration"]["t_end"] = 1.0
+        cfg["uncertainty"] = {"kind": "custom_table", "path": "wave.csv", "bound": 1.0}
+        rc = main(["run", write_scenario(tmp_path, cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "wave.csv" in capsys.readouterr().err
+
+    def test_bad_csv_precision_exits_2_before_loading(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SMCSIM_CSV_PRECISION", "abc")
+        rc = main(["run", short_smooth(tmp_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "SMCSIM_CSV_PRECISION" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_inapplicable_certificate_not_reported_as_satisfied(self, tmp_path):
+        # v0 = 1.0005 lies below sigma/k = 1.4, so the certificate does not apply
+        assert main(["run", "regulation-smooth", "--t-end", "2", "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "regulation-smooth.metrics.json").read_text())
+        assert payload["ultimate_bound"]["applicable"] is False
+        assert payload["metrics"]["ultimate_bound_satisfied"] is None
+        txt = (tmp_path / "regulation-smooth.metrics.txt").read_text()
+        assert "ultimate_bound_satisfied" in txt
+        assert [line.split()[-1] for line in txt.splitlines()
+                if "ultimate_bound_satisfied" in line] == ["-"]
+
     def test_blow_up_exits_3(self, tmp_path, capsys):
         cfg = {
             "name": "boom",

@@ -61,6 +61,10 @@ class TestSignals:
         assert sig.value(2.0) == 0.0
         assert sig.value(3.0) == -2.0
 
+    def test_table_rejects_repeated_times(self):
+        with pytest.raises(ParameterError, match="strictly increasing"):
+            TableSignal([0.0, 0.5, 1.0, 1.0], [0.0, 0.5, 1.0, 1.0], 1.0)
+
     def test_table_outside_horizon(self):
         sig = TableSignal([0.0, 1.0], [0.0, 1.0], 1.0)
         with pytest.raises(DomainError):

@@ -132,8 +132,8 @@ class TestRunScenario:
 
     def test_zero_g_aborts(self):
         class DeadChannel(RegulationPlant):
-            def surface(self, x, t):
-                return SurfaceEval(x[0], 0.0, 0.0)
+            def sliding(self, x1, x2, w):
+                return SurfaceEval(x1, 0.0, 0.0)
 
         sc = Scenario(
             name="dead",
