@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .core import (  # noqa: F401
     BAND_RATIO,
-    BoundaryLayer,
     OvershootBound,
     CertificateBounds,
     adaptation_shape,

@@ -295,12 +295,29 @@ def _build_controller(ctl, path="controller"):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _warn_off_grid(sig, dt):
+    """Warn for each square-wave edge time that is not a multiple of dt:
+    the wave then switches between samples, inside an RK4 step."""
+    edges = [("half_period", sig.half_period)]
+    edges += [("amplitude schedule time", t0) for t0, _ in sig.schedule]
+    for label, value in edges:
+        q = value / dt
+        if abs(q - round(q)) > 1e-9 * abs(q):
+            warnings.warn(
+                f"square_sequence {label} {value!r} is not a multiple of dt = {dt!r}; "
+                f"edges fall between samples",
+                TuningWarning,
+                stacklevel=3,
+            )
+
+
 def build_scenario(config, base_dir=".") -> Scenario:
     """Turn a raw or normalized scenario dict into a runnable Scenario.
 
     Performs the load-time checks: signal bounds by dense sampling over the
-    horizon, and the sample-rate rule of thumb for the adaptive band (warn
-    when fewer than about four samples fit a worst-case band crossing).
+    horizon, square-wave edges on the dt grid, and the sample-rate rule of
+    thumb for the adaptive band (warn when fewer than about four samples fit
+    a worst-case band crossing).
     """
     cfg = normalize_config(config)
     integ = cfg["integration"]
@@ -334,6 +351,8 @@ def build_scenario(config, base_dir=".") -> Scenario:
             verify_signal_bound(sig, settings.t_end, BOUND_CHECK_SAMPLES)
         except ParameterError as exc:
             raise ConfigError(f"uncertainty: {exc}") from exc
+        if sig.kind == "square_sequence":
+            _warn_off_grid(sig, settings.dt)
 
     controller = _build_controller(cfg["controller"])
 

@@ -168,20 +168,6 @@ def worst_case_response(t, s0, mu, mu_hat0, m, eta) -> float:
 
 
 @dataclass(frozen=True)
-class BoundaryLayer:
-    """Boundary layer of width phi; eta is always derived, never stored."""
-
-    phi: float
-
-    def __post_init__(self):
-        _require_positive("phi", self.phi)
-
-    @property
-    def eta(self) -> float:
-        return BAND_RATIO * self.phi
-
-
-@dataclass(frozen=True)
 class CertificateBounds:
     """Bundle of the closed-form quantities used by the stability-bound verifiers."""
 

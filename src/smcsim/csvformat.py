@@ -1,0 +1,198 @@
+"""Block formatter for trajectory CSVs: the bytes of ``"%.{P}g" % v``, built with numpy.
+
+``format_rows(block, precision)`` returns the CSV text of a 2-D float block,
+``,`` between values and ``\\n`` after each row, byte for byte what
+``np.savetxt(fmt="%.{P}g", delimiter=",")`` writes. Formatting one float at a
+time with 17 digits takes about 1 us in CPython, because its dtoa takes the
+bignum path; here each block is formatted in a few dozen array operations.
+
+Exact digits. A finite v with 1e-10 <= |v| < min(1e15, 10**(P-1)) is M*2**e
+with M a 53-bit integer (``np.frexp``). Its P significant digits are
+
+    D = round_half_even(M * 5**p * 2**(e + p)),   p = P - 1 - k,
+
+with k the decimal exponent of the rounded value. In that range p >= 0 and
+e + p < 0: the product M*5**p (5**p < 2**63 for p <= 27) is formed exactly
+in 128 bits from 32-bit limbs and shifted right with a round bit and a sticky
+bit. k starts at floor(log10|v|),
+which can be one off next to powers of ten: k moves up when D >= 10**P, and
+when D <= 10**(P-1) the next lower k is taken if it still gives P digits.
+This is the fixed-precision conversion of Adams, "Ryu revisited: printf
+floating point conversion", OOPSLA 2019, restricted to the range of the logs.
+
+Layout, one exponent group at a time. The values of a block are ordered by
+k (a stable radix sort on int8). Within a group every value prints the same
+way: fixed notation for -4 <= k < P ("ddd.ddd" or "0.000ddd"), otherwise
+"d.ddde+XX" with the group's exponent. The P digits come from a table of
+4-digit ASCII chunks and are copied into fixed-width byte rows behind a sign
+column; a keep mask drops the "-" of positive values, the trailing zeros
+(counted with a matching table) and a "." with nothing after it. The rows go
+back to the order of the values and one compress joins the kept bytes.
+
+Zeros are formatted in the same arrays. Every other value (non-finite, out of
+the exact range, or any value when P > 17) is formatted with ``%`` and placed
+in its row.
+"""
+
+import numpy as np
+
+MAX_EXACT_PRECISION = 17
+EXACT_MIN = 1e-10
+
+
+_U = np.uint64
+_LOW32 = _U(0xFFFFFFFF)
+_POW5_LO = np.array([5 ** i & 0xFFFFFFFF for i in range(28)], dtype=_U)
+_POW5_HI = np.array([5 ** i >> 32 for i in range(28)], dtype=_U)
+# 4-digit ASCII chunks as uint32, so that one take fetches four bytes, and
+# the number of trailing zeros of each chunk (4 for 0000). Built in uint16 so
+# that no temporary reaches glibc's mmap threshold at import.
+_CHUNK = np.arange(10000, dtype=np.uint16)
+_DIGITS4 = _CHUNK[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10 + ord("0")
+_DIGITS4 = _DIGITS4.astype(np.uint8).view(np.uint32).ravel()
+_TZ4 = sum((_CHUNK % 10 ** j == 0).astype(np.int8) for j in range(1, 5))
+_ARANGE = np.arange(MAX_EXACT_PRECISION)
+
+
+def _exact_max(P):
+    """Upper end of the exact range: below it k <= P - 1 and v < 2**50, so
+    that p >= 0 and e + p < 0 in the digit step."""
+    return min(1e15, 10.0 ** (P - 1))
+
+
+def _scaled(M, e, p):
+    """round_half_even(M * 5**p * 2**(e+p)) for 0 <= p <= 27 and e + p < 0."""
+    one = _U(1)
+    ml, mh, fl, fh = M & _LOW32, M >> _U(32), _POW5_LO[p], _POW5_HI[p]
+    ll = ml * fl
+    mid = ml * fh + mh * fl
+    lo = ll + (mid << _U(32))
+    hi = mh * fh + (mid >> _U(32)) + (lo < ll)
+    # N = hi*2**64 + lo = M*5**p. Take q1 = N >> t, t = -(e+p) - 1: one bit
+    # more than the result, and the bits below it.
+    t = -(e + p) - 1
+    s = (t & 63).astype(_U)
+    mask = (one << s) - one
+    wide = t >= 64
+    q1 = np.where(wide, hi >> s, (lo >> s) | ((hi << one) << (_U(63) - s)))
+    below = np.where(wide, lo | (hi & mask), lo & mask)
+    q = q1 >> one
+    return q + (q1 & (np.minimum(below, one) | q) & one)
+
+
+def _digits(a, P):
+    """P significant digits D (10**(P-1) <= D < 10**P) and decimal exponent k
+    of each a in [EXACT_MIN, _exact_max(P))."""
+    m, ex = np.frexp(a)
+    M = (m * 2.0 ** 53).astype(_U)
+    e = ex.astype(np.int64) - 53
+    k = np.floor(np.log10(a)).astype(np.int64)
+    D = _scaled(M, e, P - 1 - k)
+    top, bottom = _U(10 ** P), _U(10 ** (P - 1))
+    up = np.flatnonzero(D >= top)
+    if up.size:
+        k[up] += 1
+        D[up] = _scaled(M[up], e[up], P - 1 - k[up])
+    low = np.flatnonzero(D <= bottom)
+    if low.size:
+        D2 = _scaled(M[low], e[low], P - k[low])
+        ok = D2 < top
+        k[low[ok]] -= 1
+        D[low[ok]] = D2[ok]
+    return D, k
+
+
+def _chunks(y, n):
+    """y < 10**(4n) as n 4-digit chunks, least significant first."""
+    chunks = []
+    for _ in range(n):
+        q = y // _U(10000)
+        chunks.append((y - q * _U(10000)).view(np.int64))
+        y = q
+    return chunks
+
+
+def _layout(D, k, neg, P, width):
+    """Byte rows of ``width`` and their keep mask for digits D, exponents k
+    and signs neg, sorted by k; returns (rows, keep, order of the sort)."""
+    order = np.argsort(k.astype(np.int8), kind="stable")
+    ks = k[order]
+    chunks = _chunks(D[order], (P + 3) // 4)
+    digits = np.stack([_DIGITS4[c] for c in reversed(chunks)], axis=1).view(np.uint8)
+    digits = digits[:, digits.shape[1] - P:]
+    # Significant digits without the trailing zeros; 1 for D = 0, printed "0".
+    tz = _TZ4[chunks[-1]]
+    for c in chunks[-2::-1]:
+        tz = _TZ4[c] + (c == 0) * tz
+    nd = np.maximum(P - tz, 1)[:, None]
+
+    rows = np.empty((D.size, width), np.uint8)
+    keep = np.zeros((D.size, width), bool)
+    rows[:, 0] = ord("-")
+    keep[:, 0] = neg[order]
+    cuts = [0, *(np.flatnonzero(np.diff(ks)) + 1).tolist(), D.size]
+    for s0, s1 in zip(cuts[:-1], cuts[1:]):
+        x = int(ks[s0])
+        r = slice(s0, s1)
+        # %g: fixed notation for -4 <= x < P, else d.ddde+XX. "head" and the
+        # first b digits always print; the rest, and the point before them,
+        # only up to the last significant digit.
+        if -4 <= x < P:
+            head, b, tail = ("0." + "0" * (-x - 1), 0, "") if x < 0 else ("", x + 1, "")
+        else:
+            head, b, tail = "", 1, f"e{x:+03d}"
+        c = 1 + len(head)
+        rows[r, 1:c] = np.frombuffer(head.encode(), np.uint8)
+        rows[r, c:c + b] = digits[r, :b]
+        keep[r, 1:c + b] = True
+        c += b
+        if b:
+            rows[r, c] = ord(".")
+            keep[r, c] = nd[r, 0] > b
+            c += 1
+        rows[r, c:c + P - b] = digits[r, b:]
+        np.less(_ARANGE[b:P], nd[r], out=keep[r, c:c + P - b])
+        c += P - b
+        rows[r, c:c + len(tail)] = np.frombuffer(tail.encode(), np.uint8)
+        keep[r, c:c + len(tail)] = True
+    return rows, keep, order
+
+
+def format_rows(block, precision):
+    """CSV text of a 2-D float block, each value formatted as "%.{precision}g"."""
+    block = np.asarray(block, dtype=float)
+    if block.size == 0:
+        return b""
+    ncols = block.shape[1]
+    P = precision
+    v = block.ravel()
+    # A row per value: up to P + 8 characters of %g (sign, P digits, ".",
+    # "e-308"), then the separator.
+    width = P + 9
+    out = np.empty((v.size, width), np.uint8)
+    keep = np.empty((v.size, width), bool)
+    if P <= MAX_EXACT_PRECISION:
+        a = np.abs(v)
+        inside = (a >= EXACT_MIN) & (a < _exact_max(P))
+        # 2.0 stands in for the values printed by % below.
+        D, k = _digits(np.where(inside, a, 2.0), P)
+        zero = a == 0.0
+        D[zero] = 0
+        k[zero] = 0
+        rows, rows_keep, order = _layout(D, k, np.signbit(v), P, width)
+        # Back to the order of the values, a row at a time.
+        out.view(f"V{width}")[order] = rows.view(f"V{width}")
+        keep.view(f"V{width}")[order] = rows_keep.view(f"V{width}")
+        rest = np.flatnonzero(~(inside | zero))
+    else:
+        rest = np.arange(v.size)
+    if rest.size:
+        fmt = f"%.{P}g"
+        text = np.array([fmt % x for x in v[rest].tolist()], dtype=f"S{width - 1}")
+        text = text.view(np.uint8).reshape(rest.size, width - 1)
+        out[rest, :-1] = text
+        keep[rest, :-1] = text != 0
+    out[:, -1] = ord(",")
+    out[ncols - 1::ncols, -1] = ord("\n")
+    keep[:, -1] = True
+    return np.compress(keep.ravel(), out.ravel()).tobytes()

@@ -6,6 +6,7 @@ import pytest
 from smcsim.config import (
     build_scenario,
     list_presets,
+    load_config,
     load_scenario,
     normalize_config,
     preset_path,
@@ -168,6 +169,28 @@ class TestValidation:
     def test_fine_sampling_no_warning(self, recwarn):
         build_scenario(smooth_config())
         assert not [w for w in recwarn if issubclass(w.category, TuningWarning)]
+
+
+def tuning_warnings(recwarn):
+    return [str(w.message) for w in recwarn if issubclass(w.category, TuningWarning)]
+
+
+class TestSquareEdgesOnGrid:
+    def test_off_grid_dt_names_half_period_and_dt(self):
+        with pytest.warns(TuningWarning, match=r"half_period 2\.5 .*dt = 0\.0003"):
+            load_scenario(preset_path("regulation-square"), overrides={"dt": 3e-4})
+
+    def test_off_grid_schedule_time(self, recwarn):
+        raw = load_config(preset_path("regulation-square"))
+        raw["uncertainty"]["amplitudes"][1][0] = 15.00005
+        build_scenario(raw)
+        assert [m for m in tuning_warnings(recwarn) if "schedule time 15.00005" in m]
+        assert not [m for m in tuning_warnings(recwarn) if "half_period" in m]
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED_PRESETS))
+    def test_no_preset_warns(self, name, recwarn):
+        load_scenario(preset_path(name))
+        assert tuning_warnings(recwarn) == []
 
 
 class TestDefaults:

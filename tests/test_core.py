@@ -5,7 +5,6 @@ import pytest
 
 from smcsim.core import (
     BAND_RATIO,
-    BoundaryLayer,
     adaptation_shape,
     delta_surface,
     overshoot_bound,
@@ -97,12 +96,6 @@ class TestUltimateBand:
         assert math.isclose(ultimate_band(0.01), 0.0041421, abs_tol=1e-7)
         assert math.isclose(ultimate_band(0.03), 0.0124264, abs_tol=1e-7)
         assert ultimate_band(1.0) == BAND_RATIO
-
-    def test_boundary_layer_derives_eta(self):
-        layer = BoundaryLayer(phi=0.02)
-        assert layer.eta == BAND_RATIO * 0.02
-        with pytest.raises(ParameterError):
-            BoundaryLayer(phi=0.0)
 
 
 class TestReachTimeBound:
