@@ -148,6 +148,9 @@ def cmd_compare(args):
         metrics = compute_metrics(log, phi)
         _write_outputs(args.out, sc.name, log, metrics, precision)
         rows.append((sc.name, metrics))
+        # Free this log before the next scenario allocates its own, so that
+        # two logs never coexist at the memory peak.
+        del log
 
     fields = ("reach_time_to_band", "steady_band_mean", "steady_band_max",
               "chattering_index", "max_gain")

@@ -33,6 +33,12 @@ class ControlSample(NamedTuple):
 _sample = tuple.__new__
 
 
+# Steps test ``0.0 < dt < _INF`` inline and call _check_dt only to raise,
+# which saves a call per step; the test admits exactly the dt that _check_dt
+# admits (NaN fails both).
+_INF = math.inf
+
+
 def _check_dt(dt):
     if dt <= 0.0 or not math.isfinite(dt):
         raise ParameterError(f"dt must be positive and finite, got {dt!r}")
@@ -135,7 +141,8 @@ class ClassicalSMC:
         pass
 
     def step(self, s, h, g, dt) -> ControlSample:
-        _check_dt(dt)
+        if not 0.0 < dt < _INF:
+            _check_dt(dt)
         return _sample(ControlSample, (-self.K * sgn(s), self.K, 0.0))
 
 
@@ -155,7 +162,8 @@ class BoundaryLayerSMC:
         pass
 
     def step(self, s, h, g, dt) -> ControlSample:
-        _check_dt(dt)
+        if not 0.0 < dt < _INF:
+            _check_dt(dt)
         return _sample(ControlSample, (-self.K * sat(s, self.phi), self.K, 0.0))
 
 
@@ -182,7 +190,8 @@ class UtkinAdaptiveSMC:
         self.K = self.params.K0
 
     def step(self, s, h, g, dt) -> ControlSample:
-        _check_dt(dt)
+        if not 0.0 < dt < _INF:
+            _check_dt(dt)
         p = self.params
         q = dt / p.tau
         self.z = (self.z + q * sgn(s)) / (1.0 + q)
@@ -211,7 +220,8 @@ class PlestanAdaptiveSMC:
         self.K = self.params.K0
 
     def step(self, s, h, g, dt) -> ControlSample:
-        _check_dt(dt)
+        if not 0.0 < dt < _INF:
+            _check_dt(dt)
         p = self.params
         K = self.K
         rate = p.K_bar * abs(s) * sgn(abs(s) - p.epsilon) if K > p.kappa else 0.0
@@ -240,7 +250,8 @@ class DeltaAdaptiveSMC:
         self.mu_hat = self.params.mu_hat0
 
     def step(self, s, h, g, dt) -> ControlSample:
-        _check_dt(dt)
+        if not 0.0 < dt < _INF:
+            _check_dt(dt)
         if g == 0.0:
             raise ControllabilityError("input gain g vanished; control undefined")
         p = self.params

@@ -8,14 +8,22 @@ into a vectorized part and a scalar part:
                                     evaluated with numpy in one pass
     rhs(x1, x2, w, u)            -> (x1_dot, x2_dot) of the true plant, with
                                     uncertainty in the actuated channel only
+    advance(x1, x2, w0, wm, w1, u, h)
+                                 -> (x1, x2) after one classical RK4 step of
+                                    rhs over h, with the inputs w0, wm, w1 at
+                                    its start, midpoint and end
     sliding(x1, x2, w)           -> (s, h, g) with h, g from the NOMINAL model;
                                     controllers never see the uncertainty
     disturbance(x1, x2, w)       -> the matched disturbance entering the
                                     s-dynamics, logged for diagnostics
 
 The runner evaluates ``inputs`` once per block of instants and calls the
-scalar methods per step. Plants have at most two states; a first-order plant
-ignores x2 and returns 0.0 as its rate. The public ``deriv(x, t, u)``,
+scalar methods per step. ``advance`` writes the four RK4 stages of its
+``rhs`` inline, in the operation order of a generic RK4 over ``rhs``, so
+that the runner makes one plant call per substep; tests/test_equivalence.py
+pins it to ``rhs`` bit for bit. Plants have at most two states; a
+first-order plant ignores x2, returns 0.0 as its rate and leaves x2
+unchanged in ``advance``. The public ``deriv(x, t, u)``,
 ``surface(x, t)`` and ``uncertainty(x, t)`` take a state tuple and a time and
 wrap the same methods.
 
@@ -275,6 +283,11 @@ class RegulationPlant(_Plant):
     def rhs(self, x1, x2, w, u):
         return w + u, 0.0
 
+    def advance(self, x1, x2, w0, wm, w1, u, h):
+        # The rate does not depend on x, so stages 2 and 3 coincide.
+        a2 = wm + u
+        return x1 + h * (w0 + u + 2.0 * a2 + 2.0 * a2 + (w1 + u)) / 6.0, x2
+
     def sliding(self, x1, x2, w):
         return x1, 0.0, 1.0
 
@@ -310,6 +323,14 @@ class LinearPlant(_Plant):
 
     def rhs(self, x1, x2, w, u):
         return self.a * x1 + self.b * u + w, 0.0
+
+    def advance(self, x1, x2, w0, wm, w1, u, h):
+        a, bu, hh = self.a, self.b * u, 0.5 * h
+        a1 = a * x1 + bu + w0
+        a2 = a * (x1 + hh * a1) + bu + wm
+        a3 = a * (x1 + hh * a2) + bu + wm
+        a4 = a * (x1 + h * a3) + bu + w1
+        return x1 + h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0, x2
 
     def sliding(self, x1, x2, w):
         return x1, self.a * x1, self.b
@@ -357,6 +378,24 @@ class TrackingPlant(_Plant):
     def rhs(self, x1, x2, w, u):
         dx1 = w[0]
         return x2, x1 * dx1 * x2 + math.sin(x1 * dx1) + w[1] + u
+
+    def advance(self, x1, x2, w0, wm, w1, u, h):
+        # x1_dot = x2, so each stage's x1 rate a_k is that stage's x2 (a1 = x2).
+        sin, hh = math.sin, 0.5 * h
+        dxm, dm = wm[0], wm[1]
+        p = x1 * w0[0]
+        b1 = p * x2 + sin(p) + w0[1] + u
+        y1, a2 = x1 + hh * x2, x2 + hh * b1
+        p = y1 * dxm
+        b2 = p * a2 + sin(p) + dm + u
+        y1, a3 = x1 + hh * a2, x2 + hh * b2
+        p = y1 * dxm
+        b3 = p * a3 + sin(p) + dm + u
+        y1, a4 = x1 + h * a3, x2 + h * b3
+        p = y1 * w1[0]
+        b4 = p * a4 + sin(p) + w1[1] + u
+        return (x1 + h * (x2 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0,
+                x2 + h * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0)
 
     def sliding(self, x1, x2, w):
         e = x1 - w[2]

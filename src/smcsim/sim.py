@@ -114,22 +114,6 @@ def row_count(t_end: float, dt: float) -> int:
     return int(math.floor(q * (1.0 + 1e-12))) + 1
 
 
-def rk4(rhs, x1, x2, w0, wm, w1, u, h):
-    """One classical RK4 step of length h for (x1, x2)' = rhs(x1, x2, w, u).
-
-    w0, wm and w1 are the time inputs at the start, the midpoint and the end
-    of the step. A first-order system returns 0.0 as the rate of x2, which
-    then stays 0.0.
-    """
-    hh = 0.5 * h
-    a1, b1 = rhs(x1, x2, w0, u)
-    a2, b2 = rhs(x1 + hh * a1, x2 + hh * b1, wm, u)
-    a3, b3 = rhs(x1 + hh * a2, x2 + hh * b2, wm, u)
-    a4, b4 = rhs(x1 + h * a3, x2 + h * b3, w1, u)
-    return (x1 + h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0,
-            x2 + h * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0)
-
-
 def run_scenario(scenario: Scenario) -> TrajectoryLog:
     """Simulate the closed loop and return the sampled trajectory.
 
@@ -137,10 +121,12 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     time inputs are evaluated once, vectorized, at the instants the loop
     uses: the samples i*dt and, for substep j of length h = dt/substeps, the
     RK4 start t_j = i*dt + j*h, midpoint t_j + 0.5*h and end t_j + h. Memory
-    beyond the log therefore stays bounded by the block.
+    beyond the log therefore stays bounded by the block. Each substep is one
+    ``plant.advance`` call.
 
-    Raises SimulationDiverged when the state leaves the finite range and
-    ControllabilityError when the surface reports g = 0.
+    Raises SimulationDiverged when the state, the surface or the control
+    leaves the finite range (the surface is checked before the controller
+    sees it) and ControllabilityError when the surface reports g = 0.
     """
     plant = scenario.plant
     controller = scenario.controller
@@ -152,8 +138,8 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     offsets = np.arange(substeps) * h
     substep_range = range(substeps)
 
-    inputs, rhs, sliding, disturbance = (
-        plant.inputs, plant.rhs, plant.sliding, plant.disturbance)
+    inputs, advance, sliding, disturbance = (
+        plant.inputs, plant.advance, plant.sliding, plant.disturbance)
     step = controller.step
     isfinite = math.isfinite
 
@@ -186,15 +172,17 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
         for i in range(c0, c1):
             w = w_start[k]
             s, hdrift, g = sliding(x1, x2, w)
+            if not isfinite(s):
+                raise SimulationDiverged(i * dt)
             if g == 0.0:
                 raise ControllabilityError(f"surface reported g = 0 at t = {i * dt:.6g} s")
             u, gain, rate = step(s, hdrift, g, dt)
             rows.append((x1, x2, s, u, gain, rate, disturbance(x1, x2, w)))
-            if not (isfinite(s) and isfinite(u)):
+            if not isfinite(u):
                 raise SimulationDiverged(i * dt)
             if i + 1 < n:
                 for _ in substep_range:
-                    x1, x2 = rk4(rhs, x1, x2, w_start[k], w_mid[k], w_end[k], u, h)
+                    x1, x2 = advance(x1, x2, w_start[k], w_mid[k], w_end[k], u, h)
                     k += 1
                 if not (isfinite(x1) and isfinite(x2)):
                     raise SimulationDiverged((i + 1) * dt)
@@ -494,15 +482,18 @@ def worst_case_run(s0, mu_hat0, mu, m, eta, dt=1e-4, t_end=None):
     s_arr = np.empty(n)
     g_arr = np.empty(n)
 
-    def rhs(sv, gv, _w, _u):
-        return -gv + mu, m * (sv + eta)
-
+    hh = 0.5 * dt
     s, g = float(s0), float(mu_hat0)
     for i in range(n):
         t[i] = i * dt
         s_arr[i], g_arr[i] = s, g
         if i + 1 < n:
-            s, g = rk4(rhs, s, g, None, None, None, 0.0, dt)
+            a1, b1 = -g + mu, m * (s + eta)
+            a2, b2 = -(g + hh * b1) + mu, m * (s + hh * a1 + eta)
+            a3, b3 = -(g + hh * b2) + mu, m * (s + hh * a2 + eta)
+            a4, b4 = -(g + dt * b3) + mu, m * (s + dt * a3 + eta)
+            s, g = (s + dt * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0,
+                    g + dt * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0)
     return t, s_arr, g_arr
 
 

@@ -109,6 +109,16 @@ class TestRun:
         assert rc == 3
         assert "blow-up" in capsys.readouterr().err
 
+    def test_non_finite_surface_exits_3(self, tmp_path, capsys):
+        # x0 is finite, but s = e_rate + lambda*e overflows to inf at the first
+        # sample; the runner must report the blow-up before sgn(s) sees it.
+        cfg = load_config(preset_path("tracking"))
+        cfg["x0"] = [1e308, 1e308]
+        cfg["integration"]["t_end"] = 0.01
+        rc = main(["run", write_scenario(tmp_path, cfg), "--out", str(tmp_path)])
+        assert rc == 3
+        assert "numerical blow-up" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_shared_scenario_table(self, tmp_path, capsys):

@@ -204,19 +204,29 @@ class TestDeltaAdaptive:
                 delta_params(**bad)
 
 
+ALL_CONTROLLERS = {
+    "classical": lambda: ClassicalSMC(2.0),
+    "boundary_layer": lambda: BoundaryLayerSMC(2.0, 0.01),
+    "utkin": lambda: UtkinAdaptiveSMC(utkin_params()),
+    "plestan": lambda: PlestanAdaptiveSMC(plestan_params()),
+    "delta_adaptive": lambda: DeltaAdaptiveSMC(delta_params()),
+}
+
+
+@pytest.mark.parametrize("dt", [0.0, -DT, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", sorted(ALL_CONTROLLERS))
+def test_every_step_rejects_bad_dt(kind, dt):
+    with pytest.raises(ParameterError, match="dt must be positive and finite"):
+        ALL_CONTROLLERS[kind]().step(0.1, 0.0, 1.0, dt)
+
+
 class TestDeterminism:
     def test_bit_identical_sequences(self):
         rng = np.random.default_rng(19)
         inputs = [(rng.uniform(-1, 1), rng.uniform(-1, 1), 1.0) for _ in range(500)]
 
         def run():
-            ctls = [
-                ClassicalSMC(2.0),
-                BoundaryLayerSMC(2.0, 0.01),
-                UtkinAdaptiveSMC(utkin_params()),
-                PlestanAdaptiveSMC(plestan_params()),
-                DeltaAdaptiveSMC(delta_params()),
-            ]
+            ctls = [make() for make in ALL_CONTROLLERS.values()]
             out = []
             for s, h, g in inputs:
                 out.append(tuple(c.step(s, h, g, DT) for c in ctls))

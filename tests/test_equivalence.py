@@ -3,7 +3,8 @@
 The reference integrates through the public per-time methods
 (``controller.step``, ``plant.deriv``, ``plant.uncertainty``) with a tuple
 RK4, evaluating every signal at each instant as it goes; ``run_scenario``
-must reproduce every log column bit for bit. The signal tests compare each
+must reproduce every log column bit for bit. Each plant's inlined
+``advance`` must also equal a generic RK4 step over its ``rhs``. The signal tests compare each
 vectorized ``values(t)`` with its closed form written with the math module,
 on the sample and RK4 instants the runner uses.
 """
@@ -120,8 +121,9 @@ X0 = {"regulation": (0.8,), "linear": (-0.6,), "tracking": (0.3, -0.2)}
 def assert_same_log(log, ref):
     for name in LOG_COLUMNS:
         got = getattr(log, name)
-        assert got.shape == ref[name].shape, name
-        assert np.array_equal(got, ref[name]), name
+        label = f"{log.meta['scenario']}: {name}"
+        assert got.shape == ref[name].shape, label
+        assert np.array_equal(got, ref[name]), label
 
 
 @pytest.mark.parametrize("controller", sorted(CONTROLLERS))
@@ -133,9 +135,42 @@ def test_runner_matches_reference_loop(plant, controller):
 
 
 def test_runner_matches_reference_loop_with_substeps():
-    sc = Scenario("tracking-substeps", PLANTS["tracking"](), CONTROLLERS["delta_adaptive"](),
-                  X0["tracking"], IntegrationSettings(dt=DT, substeps=4, t_end=T_END))
-    assert_same_log(run_scenario(sc), reference_run(sc))
+    # Several substeps per sample, so that each plant's advance runs with
+    # h != dt, under a smooth and a switching adaptive law.
+    for plant, substeps in (("regulation", 3), ("linear", 3), ("tracking", 4)):
+        for controller in ("delta_adaptive", "plestan"):
+            sc = Scenario(f"{plant}-{controller}-substeps", PLANTS[plant](),
+                          CONTROLLERS[controller](), X0[plant],
+                          IntegrationSettings(dt=DT, substeps=substeps, t_end=T_END))
+            assert_same_log(run_scenario(sc), reference_run(sc))
+
+
+def rk4_over_rhs(rhs, x1, x2, w0, wm, w1, u, h):
+    """The classical RK4 step whose operation order ``advance`` must keep."""
+    hh = 0.5 * h
+    a1, b1 = rhs(x1, x2, w0, u)
+    a2, b2 = rhs(x1 + hh * a1, x2 + hh * b1, wm, u)
+    a3, b3 = rhs(x1 + hh * a2, x2 + hh * b2, wm, u)
+    a4, b4 = rhs(x1 + h * a3, x2 + h * b3, w1, u)
+    return (x1 + h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0,
+            x2 + h * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0)
+
+
+@pytest.mark.parametrize("plant", sorted(PLANTS))
+def test_advance_matches_rk4_over_rhs(plant):
+    p = PLANTS[plant]()
+    rng = np.random.default_rng(23)
+
+    def draw(size=None):
+        return (rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.integers(-6, 4, size)).tolist()
+
+    for _ in range(3000):
+        x1 = draw()
+        x2 = draw() if p.n_states > 1 else 0.0
+        u, h = draw(), float(rng.choice([1e-4, 1e-3 / 3, 0.05]))
+        w0, wm, w1 = (tuple(draw(5)) if plant == "tracking" else draw() for _ in range(3))
+        expected = rk4_over_rhs(p.rhs, x1, x2, w0, wm, w1, u, h)
+        assert p.advance(x1, x2, w0, wm, w1, u, h) == expected
 
 
 # ---------------------------------------------------------------------------
