@@ -18,7 +18,6 @@ from .core import (  # noqa: F401
 from .controllers import (  # noqa: F401
     BoundaryLayerSMC,
     ClassicalSMC,
-    ControlSample,
     DeltaAdaptiveParams,
     DeltaAdaptiveSMC,
     PlestanAdaptiveSMC,

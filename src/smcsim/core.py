@@ -34,6 +34,12 @@ def sgn(s: float) -> int:
     """Three-valued signum: 1 for s > 0, -1 for s < 0, 0 for s = 0."""
     if not math.isfinite(s):
         raise DomainError(f"sgn requires a finite input, got {s!r}")
+    return _sign(s)
+
+
+def _sign(s: float) -> int:
+    """sgn without the finiteness check, for a caller that checked s (the
+    controllers' per-step path: the runner checks s before each step)."""
     if s > 0.0:
         return 1
     if s < 0.0:

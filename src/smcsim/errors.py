@@ -30,11 +30,21 @@ class ConfigError(SmcError, ValueError):
 
 
 class SimulationDiverged(SmcError, RuntimeError):
-    """The closed-loop state became non-finite during integration."""
+    """The closed-loop state became non-finite during integration.
 
-    def __init__(self, time, message=None):
-        self.time = time
-        super().__init__(message or f"state became non-finite at t = {time:.6g} s")
+    ``row`` is the log row at ``time``; ``state`` is the last finite state,
+    and ``u`` and ``gain`` are the control and gain computed from it, or
+    None when the controller had not run on it.
+    """
+
+    def __init__(self, time, message=None, row=None, state=None, u=None, gain=None):
+        self.time, self.row, self.state, self.u, self.gain = time, row, state, u, gain
+        if message is None:
+            message = f"state became non-finite at t = {time:.6g} s"
+            if row is not None:
+                known = "" if u is None else f", u = {u!r}, gain = {gain!r}"
+                message += f" (row {row}; last finite state x = {list(state)!r}{known})"
+        super().__init__(message)
 
 
 class TuningWarning(UserWarning):

@@ -6,19 +6,24 @@ into a vectorized part and a scalar part:
 
     inputs(t)                    -> one input w per instant of the array t,
                                     evaluated with numpy in one pass
+    stage_inputs(t)              -> the part of inputs(t) that rhs and
+                                    advance read, for the RK4 midpoint and
+                                    end instants
     rhs(x1, x2, w, u)            -> (x1_dot, x2_dot) of the true plant, with
                                     uncertainty in the actuated channel only
     advance(x1, x2, w0, wm, w1, u, h)
                                  -> (x1, x2) after one classical RK4 step of
                                     rhs over h, with the inputs w0, wm, w1 at
                                     its start, midpoint and end
-    sliding(x1, x2, w)           -> (s, h, g) with h, g from the NOMINAL model;
-                                    controllers never see the uncertainty
-    disturbance(x1, x2, w)       -> the matched disturbance entering the
+    sample(x1, x2, w)            -> (s, h, g, delta_f): the surface s, with h
+                                    and g from the NOMINAL model (controllers
+                                    never see the uncertainty), and the
+                                    matched disturbance delta_f entering the
                                     s-dynamics, logged for diagnostics
 
-The runner evaluates ``inputs`` once per block of instants and calls the
-scalar methods per step. ``advance`` writes the four RK4 stages of its
+The runner evaluates ``inputs`` and ``stage_inputs`` once per block of
+instants and calls the scalar methods per step: one ``sample`` per row and
+one ``advance`` per substep. ``advance`` writes the four RK4 stages of its
 ``rhs`` inline, in the operation order of a generic RK4 over ``rhs``, so
 that the runner makes one plant call per substep; tests/test_equivalence.py
 pins it to ``rhs`` bit for bit. Plants have at most two states; a
@@ -248,7 +253,7 @@ class SineReference:
 
 
 class _Plant:
-    """Public (x, t) wrappers over a plant's inputs/rhs/sliding/disturbance."""
+    """Public (x, t) wrappers over a plant's inputs/rhs/sample."""
 
     def _at(self, x, t):
         return x[0], (x[1] if len(x) > 1 else 0.0), self.inputs([t])[0]
@@ -258,10 +263,10 @@ class _Plant:
         return self.rhs(x1, x2, w, u)[: self.n_states]
 
     def surface(self, x, t) -> SurfaceEval:
-        return SurfaceEval(*self.sliding(*self._at(x, t)))
+        return SurfaceEval(*self.sample(*self._at(x, t))[:3])
 
     def uncertainty(self, x, t):
-        return self.disturbance(*self._at(x, t))
+        return self.sample(*self._at(x, t))[3]
 
 
 class RegulationPlant(_Plant):
@@ -280,6 +285,8 @@ class RegulationPlant(_Plant):
     def inputs(self, t):
         return self.signal.values(t).tolist()
 
+    stage_inputs = inputs
+
     def rhs(self, x1, x2, w, u):
         return w + u, 0.0
 
@@ -288,11 +295,8 @@ class RegulationPlant(_Plant):
         a2 = wm + u
         return x1 + h * (w0 + u + 2.0 * a2 + 2.0 * a2 + (w1 + u)) / 6.0, x2
 
-    def sliding(self, x1, x2, w):
-        return x1, 0.0, 1.0
-
-    def disturbance(self, x1, x2, w):
-        return w
+    def sample(self, x1, x2, w):
+        return x1, 0.0, 1.0, w
 
 
 class LinearPlant(_Plant):
@@ -321,6 +325,8 @@ class LinearPlant(_Plant):
     def inputs(self, t):
         return self.signal.values(t).tolist()
 
+    stage_inputs = inputs
+
     def rhs(self, x1, x2, w, u):
         return self.a * x1 + self.b * u + w, 0.0
 
@@ -332,11 +338,8 @@ class LinearPlant(_Plant):
         a4 = a * (x1 + h * a3) + bu + w1
         return x1 + h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0, x2
 
-    def sliding(self, x1, x2, w):
-        return x1, self.a * x1, self.b
-
-    def disturbance(self, x1, x2, w):
-        return w
+    def sample(self, x1, x2, w):
+        return x1, self.a * x1, self.b, w
 
 
 class TrackingPlant(_Plant):
@@ -350,7 +353,9 @@ class TrackingPlant(_Plant):
     Both uncertainties enter only the actuated x2 channel, so the matching
     condition holds structurally.
 
-    The input at an instant is the tuple (dx1, d, yd, yd_dot, yd_ddot).
+    The input at an instant is the tuple (dx1, d, yd, yd_dot, yd_ddot); a
+    stage input is the pair (dx1, d), since only the sample needs the
+    reference.
     """
 
     kind = "tracking"
@@ -375,6 +380,9 @@ class TrackingPlant(_Plant):
         return list(zip(dx1.tolist(), self.add.values(t).tolist(),
                         yd.tolist(), yd_dot.tolist(), yd_ddot.tolist()))
 
+    def stage_inputs(self, t):
+        return list(zip((1.0 + self.mult.values(t)).tolist(), self.add.values(t).tolist()))
+
     def rhs(self, x1, x2, w, u):
         dx1 = w[0]
         return x2, x1 * dx1 * x2 + math.sin(x1 * dx1) + w[1] + u
@@ -397,14 +405,11 @@ class TrackingPlant(_Plant):
         return (x1 + h * (x2 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0,
                 x2 + h * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0)
 
-    def sliding(self, x1, x2, w):
-        e = x1 - w[2]
-        e_rate = x2 - w[3]
+    def sample(self, x1, x2, w):
+        dx1, d, yd, yd_dot, yd_ddot = w
+        e = x1 - yd
+        e_rate = x2 - yd_dot
         s = e_rate + self.lam * e
-        h = x1 * x2 + math.sin(x1) - w[4] + self.lam * e_rate
-        return s, h, 1.0
-
-    def disturbance(self, x1, x2, w):
-        dx1 = w[0]
         nominal = x1 * x2 + math.sin(x1)
-        return (x1 * dx1 * x2 + math.sin(x1 * dx1)) - nominal + w[1]
+        h = nominal - yd_ddot + self.lam * e_rate
+        return s, h, 1.0, (x1 * dx1 * x2 + math.sin(x1 * dx1)) - nominal + d

@@ -34,6 +34,7 @@ from .errors import (
     InsufficientDataError,
     ParameterError,
     SimulationDiverged,
+    SmcError,
 )
 from .plants import BLOCK
 
@@ -120,13 +121,17 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     Rows are processed BLOCK at a time. For each block the plant's
     time inputs are evaluated once, vectorized, at the instants the loop
     uses: the samples i*dt and, for substep j of length h = dt/substeps, the
-    RK4 start t_j = i*dt + j*h, midpoint t_j + 0.5*h and end t_j + h. Memory
-    beyond the log therefore stays bounded by the block. Each substep is one
-    ``plant.advance`` call.
+    RK4 start t_j = i*dt + j*h, midpoint t_j + 0.5*h and end t_j + h (the
+    last two through ``plant.stage_inputs``). Memory beyond the log
+    therefore stays bounded by the block. Each row is one ``plant.sample``
+    call and one controller step, each substep one ``plant.advance`` call;
+    all three return plain tuples.
 
     Raises SimulationDiverged when the state, the surface or the control
     leaves the finite range (the surface is checked before the controller
-    sees it) and ControllabilityError when the surface reports g = 0.
+    sees it), or when the plant's math raises ValueError on an overflowed
+    value; it carries the row and the last finite state. Raises
+    ControllabilityError when the surface reports g = 0.
     """
     plant = scenario.plant
     controller = scenario.controller
@@ -138,10 +143,14 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     offsets = np.arange(substeps) * h
     substep_range = range(substeps)
 
-    inputs, advance, sliding, disturbance = (
-        plant.inputs, plant.advance, plant.sliding, plant.disturbance)
+    inputs, stage_inputs, advance, sample = (
+        plant.inputs, plant.stage_inputs, plant.advance, plant.sample)
     step = controller.step
     isfinite = math.isfinite
+
+    def diverged(row, x1, x2, u=None, gain=None):
+        return SimulationDiverged(row * dt, row=row, state=(x1, x2)[:plant.n_states],
+                                  u=u, gain=gain)
 
     # In place, so that no log-sized temporary is freed before the log is
     # allocated: glibc would then raise its mmap threshold and place the log
@@ -165,27 +174,34 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
         starts = (grid[:m, None] + offsets).ravel()
         # w0 of substep 0 is the sample's input; the final row only samples.
         w_start = inputs(np.concatenate((starts, grid[m:])))
-        w_mid = inputs(starts + 0.5 * h)
-        w_end = inputs(starts + h)
+        w_mid = stage_inputs(starts + 0.5 * h)
+        w_end = stage_inputs(starts + h)
         rows = []  # (x1, x2, s, u, gain, gain_rate, delta_f)
         k = 0
-        for i in range(c0, c1):
-            w = w_start[k]
-            s, hdrift, g = sliding(x1, x2, w)
-            if not isfinite(s):
-                raise SimulationDiverged(i * dt)
-            if g == 0.0:
-                raise ControllabilityError(f"surface reported g = 0 at t = {i * dt:.6g} s")
-            u, gain, rate = step(s, hdrift, g, dt)
-            rows.append((x1, x2, s, u, gain, rate, disturbance(x1, x2, w)))
-            if not isfinite(u):
-                raise SimulationDiverged(i * dt)
-            if i + 1 < n:
-                for _ in substep_range:
-                    x1, x2 = advance(x1, x2, w_start[k], w_mid[k], w_end[k], u, h)
-                    k += 1
-                if not (isfinite(x1) and isfinite(x2)):
-                    raise SimulationDiverged((i + 1) * dt)
+        try:
+            for i in range(c0, c1):
+                s, hdrift, g, delta_f = sample(x1, x2, w_start[k])
+                if not isfinite(s):
+                    raise diverged(i, x1, x2)
+                if g == 0.0:
+                    raise ControllabilityError(f"surface reported g = 0 at t = {i * dt:.6g} s")
+                u, gain, rate = step(s, hdrift, g, dt)
+                rows.append((x1, x2, s, u, gain, rate, delta_f))
+                if not isfinite(u):
+                    raise diverged(i, x1, x2, u, gain)
+                if i + 1 < n:
+                    for _ in substep_range:
+                        x1, x2 = advance(x1, x2, w_start[k], w_mid[k], w_end[k], u, h)
+                        k += 1
+                    if not (isfinite(x1) and isfinite(x2)):
+                        raise diverged(i + 1, *rows[-1][:2], u, gain)
+        except ValueError as exc:
+            # math.sin of an overflowed value; package errors pass unchanged.
+            if isinstance(exc, SmcError):
+                raise
+            if len(rows) > i - c0:  # row i is logged, so advance raised
+                raise diverged(i + 1, *rows[-1][:2], u, gain) from exc
+            raise diverged(i, x1, x2) from exc
         cols = np.fromiter(chain.from_iterable(rows), float, 7 * len(rows)).reshape(-1, 7).T
         x_arr[c0:c1] = cols[: plant.n_states].T
         s_arr[c0:c1], u_arr[c0:c1], gain_arr[c0:c1], rate_arr[c0:c1], df_arr[c0:c1] = cols[2:]

@@ -119,6 +119,19 @@ class TestRun:
         assert rc == 3
         assert "numerical blow-up" in capsys.readouterr().err
 
+    def test_overflow_in_rk4_stage_exits_3(self, tmp_path, capsys):
+        # The state is finite at every sample, but an RK4 stage value of the
+        # first step overflows and math.sin raises ValueError on it.
+        cfg = load_config(preset_path("tracking"))
+        cfg["x0"] = [0.0, 1e200]
+        cfg["integration"]["t_end"] = 0.01
+        rc = main(["run", write_scenario(tmp_path, cfg), "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical blow-up: state became non-finite at t = 0.0001 s "
+                              "(row 1; last finite state x = [0.0, 1e+200], u = ")
+        assert "gain = 0.001)" in err
+
 
 class TestCompare:
     def test_shared_scenario_table(self, tmp_path, capsys):

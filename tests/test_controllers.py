@@ -43,10 +43,12 @@ class TestClassical:
         assert c.step(0.5, 0.0, 1.0, DT) == (-2.0, 2.0, 0.0)
 
     def test_zero_on_surface(self):
-        assert ClassicalSMC(2.0).step(0.0, 0.0, 1.0, DT).u == 0.0
+        u, _, _ = ClassicalSMC(2.0).step(0.0, 0.0, 1.0, DT)
+        assert u == 0.0
 
     def test_negative_side(self):
-        assert ClassicalSMC(1.5).step(-0.1, 0.0, 1.0, DT).u == 1.5
+        u, _, _ = ClassicalSMC(1.5).step(-0.1, 0.0, 1.0, DT)
+        assert u == 1.5
 
     def test_bad_gain(self):
         with pytest.raises(ParameterError):
@@ -55,13 +57,16 @@ class TestClassical:
 
 class TestBoundaryLayer:
     def test_inside_layer(self):
-        assert BoundaryLayerSMC(2.0, 0.01).step(0.005, 0.0, 1.0, DT).u == -1.0
+        u, _, _ = BoundaryLayerSMC(2.0, 0.01).step(0.005, 0.0, 1.0, DT)
+        assert u == -1.0
 
     def test_saturated(self):
-        assert BoundaryLayerSMC(2.0, 0.01).step(0.05, 0.0, 1.0, DT).u == -2.0
+        u, _, _ = BoundaryLayerSMC(2.0, 0.01).step(0.05, 0.0, 1.0, DT)
+        assert u == -2.0
 
     def test_zero(self):
-        assert BoundaryLayerSMC(2.0, 0.01).step(0.0, 0.0, 1.0, DT).u == 0.0
+        u, _, _ = BoundaryLayerSMC(2.0, 0.01).step(0.0, 0.0, 1.0, DT)
+        assert u == 0.0
 
 
 class TestUtkin:
@@ -80,27 +85,27 @@ class TestUtkin:
         # ceiling barrier holds it near K_plus
         ctl = UtkinAdaptiveSMC(utkin_params())
         for _ in range(60_000):  # 6 s
-            sample = ctl.step(1.0, 0.0, 1.0, DT)
+            u, gain, _ = ctl.step(1.0, 0.0, 1.0, DT)
         assert ctl.z > 0.999
         assert abs(ctl.K - 23.0) < 0.1
-        assert sample.u == -sample.gain  # switching against s > 0
+        assert u == -gain  # switching against s > 0
 
     def test_dead_point_freezes_gain(self):
         # filter in steady state at z = alpha with s = 0: delta = 0 so the
         # growth term vanishes and K sits between the barriers
         ctl = UtkinAdaptiveSMC(utkin_params(tau=1e30))
         ctl.z = 0.95
-        sample = ctl.step(0.0, 0.0, 1.0, DT)
-        assert sample.gain_rate == 0.0
+        _, _, gain_rate = ctl.step(0.0, 0.0, 1.0, DT)
+        assert gain_rate == 0.0
 
     def test_floor_barrier_pushes_up(self):
         p = utkin_params()
         ctl = UtkinAdaptiveSMC(p)
         ctl.K = p.epsilon / 2.0
-        sample = ctl.step(0.0, 0.0, 1.0, DT)
+        _, _, gain_rate = ctl.step(0.0, 0.0, 1.0, DT)
         # delta < 0 shrinks, but the floor barrier +M dominates
-        assert sample.gain_rate > 0.0
-        assert math.isclose(sample.gain_rate, -p.nu * p.epsilon / 2.0 + p.M, rel_tol=1e-12)
+        assert gain_rate > 0.0
+        assert math.isclose(gain_rate, -p.nu * p.epsilon / 2.0 + p.M, rel_tol=1e-12)
 
     def test_filter_stays_in_unit_interval(self):
         rng = np.random.default_rng(7)
@@ -118,20 +123,21 @@ class TestPlestan:
     def test_grows_outside_threshold(self):
         ctl = PlestanAdaptiveSMC(plestan_params())
         s = 0.1
-        sample = ctl.step(s, 0.0, 1.0, DT)
-        assert sample.gain_rate == 3000.0 * abs(s)
+        _, _, gain_rate = ctl.step(s, 0.0, 1.0, DT)
+        assert gain_rate == 3000.0 * abs(s)
 
     def test_shrinks_inside_threshold(self):
         ctl = PlestanAdaptiveSMC(plestan_params(K0=1.0))
         s = 0.001  # inside epsilon
-        sample = ctl.step(s, 0.0, 1.0, DT)
-        assert sample.gain_rate == -3000.0 * abs(s)
+        _, _, gain_rate = ctl.step(s, 0.0, 1.0, DT)
+        assert gain_rate == -3000.0 * abs(s)
 
     def test_frozen_at_floor(self):
         p = plestan_params()
         ctl = PlestanAdaptiveSMC(p)
         ctl.K = p.kappa
-        assert ctl.step(0.5, 0.0, 1.0, DT).gain_rate == 0.0
+        _, _, gain_rate = ctl.step(0.5, 0.0, 1.0, DT)
+        assert gain_rate == 0.0
 
     def test_gain_never_below_floor(self):
         p = plestan_params(K0=0.011)
@@ -151,25 +157,26 @@ class TestPlestan:
 class TestDeltaAdaptive:
     def test_control_formula(self):
         ctl = DeltaAdaptiveSMC(delta_params())
-        sample = ctl.step(1.0, 0.0, 1.0, DT)
-        assert math.isclose(sample.u, -2.001, rel_tol=1e-15)
-        assert sample.gain == 0.001
+        u, gain, _ = ctl.step(1.0, 0.0, 1.0, DT)
+        assert math.isclose(u, -2.001, rel_tol=1e-15)
+        assert gain == 0.001
 
     def test_rate_zero_at_band(self):
         ctl = DeltaAdaptiveSMC(delta_params())
         eta = ultimate_band(0.01)
-        assert abs(ctl.step(eta, 0.0, 1.0, DT).gain_rate) <= 2e-15
+        _, _, gain_rate = ctl.step(eta, 0.0, 1.0, DT)
+        assert abs(gain_rate) <= 2e-15
 
     def test_rate_saturates_at_inverse_rho(self):
         ctl = DeltaAdaptiveSMC(delta_params(rho=0.7))
-        rate = ctl.step(1e6, 0.0, 1.0, DT).gain_rate
+        _, _, rate = ctl.step(1e6, 0.0, 1.0, DT)
         assert 0.0 < (1.0 / 0.7) - rate < 1e-6
         assert rate <= 1.0 / 0.7
 
     def test_feedforward_cancellation(self):
         ctl = DeltaAdaptiveSMC(delta_params(k=0.0, mu_hat0=1e-12))
-        sample = ctl.step(0.0, 3.5, 2.0, DT)
-        assert math.isclose(sample.u, -3.5 / 2.0, rel_tol=1e-12)
+        u, _, _ = ctl.step(0.0, 3.5, 2.0, DT)
+        assert math.isclose(u, -3.5 / 2.0, rel_tol=1e-12)
 
     def test_zero_g_rejected(self):
         ctl = DeltaAdaptiveSMC(delta_params())
@@ -181,9 +188,9 @@ class TestDeltaAdaptive:
         for rho in (0.3, 0.7, 1.0, 2.5):
             ctl = DeltaAdaptiveSMC(delta_params(rho=rho, mu_hat0=1e-4))
             for _ in range(1000):
-                sample = ctl.step(rng.uniform(-0.05, 0.05), 0.0, 1.0, 1e-2)
-                assert sample.gain >= 0.0
-                assert abs(sample.gain_rate) <= 1.0 / rho
+                _, gain, gain_rate = ctl.step(rng.uniform(-0.05, 0.05), 0.0, 1.0, 1e-2)
+                assert gain >= 0.0
+                assert abs(gain_rate) <= 1.0 / rho
             assert ctl.mu_hat >= 0.0
 
     def test_switching_term_opposes_s(self):
@@ -191,8 +198,8 @@ class TestDeltaAdaptive:
         ctl = DeltaAdaptiveSMC(delta_params())
         for _ in range(500):
             s = rng.uniform(-2.0, 2.0)
-            sample = ctl.step(s, 0.0, 1.0, DT)
-            assert sample.u * s <= -sample.gain * abs(s) + 1e-18
+            u, gain, _ = ctl.step(s, 0.0, 1.0, DT)
+            assert u * s <= -gain * abs(s) + 1e-18
 
     def test_tuning_warning_for_large_k(self):
         with pytest.warns(TuningWarning):
@@ -211,6 +218,14 @@ ALL_CONTROLLERS = {
     "plestan": lambda: PlestanAdaptiveSMC(plestan_params()),
     "delta_adaptive": lambda: DeltaAdaptiveSMC(delta_params()),
 }
+
+
+@pytest.mark.parametrize("kind", sorted(ALL_CONTROLLERS))
+def test_step_returns_plain_tuple_of_three_floats(kind):
+    for s in (0.3, 0.0, -0.02):
+        out = ALL_CONTROLLERS[kind]().step(s, 0.1, 1.0, DT)
+        assert type(out) is tuple and len(out) == 3
+        assert all(type(v) is float for v in out), out
 
 
 @pytest.mark.parametrize("dt", [0.0, -DT, math.nan, math.inf, -math.inf])

@@ -7,11 +7,18 @@ from smcsim.controllers import ClassicalSMC, DeltaAdaptiveParams, DeltaAdaptiveS
 from smcsim.core import overshoot_bound, ultimate_band, worst_case_response
 from smcsim.errors import (
     ControllabilityError,
+    DomainError,
     InsufficientDataError,
     ParameterError,
     SimulationDiverged,
 )
-from smcsim.plants import LinearPlant, MultiSineSignal, RegulationPlant, SurfaceEval
+from smcsim.plants import (
+    LinearPlant,
+    MultiSineSignal,
+    RegulationPlant,
+    SineReference,
+    TrackingPlant,
+)
 from smcsim.sim import (
     CSV_PRECISION_ENV,
     IntegrationSettings,
@@ -128,12 +135,48 @@ class TestRunScenario:
         )
         with pytest.raises(SimulationDiverged) as err:
             run_scenario(sc)
-        assert 0.0 < err.value.time <= 30.0
+        exc = err.value
+        assert 0.0 < exc.time <= 30.0
+        # The report names the row at exc.time and the state, u and gain of
+        # the row before it, the last one with a finite state.
+        assert exc.time == exc.row * 0.01
+        assert len(exc.state) == 1 and math.isfinite(exc.state[0])
+        assert exc.u == -0.001 and exc.gain == 0.001
+        assert f"(row {exc.row}; last finite state x = [{exc.state[0]!r}]" in str(exc)
+
+    @pytest.mark.parametrize("x0, row, controlled", [
+        ((0.0, 1e200), 1, True),     # a stage value overflows inside advance
+        ((1.7e308, 0.0), 0, False),  # x1*dx1 overflows inside sample
+    ], ids=["advance", "sample"])
+    def test_math_domain_error_is_divergence(self, x0, row, controlled):
+        # math.sin(inf) raises ValueError; the runner reports it as a
+        # divergence from the last finite state instead.
+        plant = TrackingPlant(MultiSineSignal([0.5], [1.0], [1.0], 0.5), zero_signal(),
+                              SineReference(1.0, 1.0), 4.0)
+        sc = Scenario("overflow", plant, ClassicalSMC(1.0), x0,
+                      IntegrationSettings(dt=1e-4, substeps=1, t_end=0.01))
+        with pytest.raises(SimulationDiverged) as err:
+            run_scenario(sc)
+        exc = err.value
+        assert isinstance(exc.__cause__, ValueError)
+        assert (exc.row, exc.time, exc.state) == (row, row * 1e-4, x0)
+        assert (exc.gain is not None) == controlled and (exc.u is not None) == controlled
+
+    @pytest.mark.parametrize("error", [DomainError, ParameterError])
+    def test_package_value_errors_pass_through(self, error):
+        class Failing(RegulationPlant):
+            def sample(self, x1, x2, w):
+                raise error("from the plant")
+
+        sc = Scenario("failing", Failing(zero_signal()), ClassicalSMC(1.0), (1.0,),
+                      IntegrationSettings(dt=0.01, substeps=1, t_end=1.0))
+        with pytest.raises(error, match="from the plant"):
+            run_scenario(sc)
 
     def test_zero_g_aborts(self):
         class DeadChannel(RegulationPlant):
-            def sliding(self, x1, x2, w):
-                return SurfaceEval(x1, 0.0, 0.0)
+            def sample(self, x1, x2, w):
+                return x1, 0.0, 0.0, w
 
         sc = Scenario(
             name="dead",
