@@ -16,7 +16,6 @@ from .config import (
     load_scenario,
     resolve_scenario,
 )
-from .controllers import BoundaryLayerSMC, DeltaAdaptiveSMC
 from .core import ultimate_band
 from .errors import ConfigError, ParameterError, SimulationDiverged, SmcError
 from .sim import (
@@ -33,15 +32,6 @@ from .sim import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
-
-
-def _scenario_phi(scenario):
-    ctl = scenario.controller
-    if isinstance(ctl, DeltaAdaptiveSMC):
-        return ctl.params.phi
-    if isinstance(ctl, BoundaryLayerSMC):
-        return ctl.phi
-    return None
 
 
 def _fmt(v):
@@ -90,22 +80,30 @@ def _overrides(args):
     return ov
 
 
+def _certify(scenario, log):
+    """Certificate bounds of a delta-adaptive run and its ultimate-bound check
+    (None when k = 0, where the decay rate is undefined), with v0 = V'(0)."""
+    c = scenario.config["controller"]
+    mu, k = scenario.plant.true_bound, c["k"]
+    bounds, ob = certificate_summary(mu, c["rho"], c["phi"], k, v0=float(log.Vprime[0]))
+    check = None
+    if math.isfinite(bounds.b):  # NaN at k = 0
+        check = verify_ultimate_bound(log, k, c["rho"], mu, bounds.b)
+    return bounds, ob, check
+
+
 def cmd_run(args):
     precision = csv_precision()
     path = resolve_scenario(args.scenario)
     scenario = load_scenario(path, overrides=_overrides(args))
     log = run_scenario(scenario)
-    metrics = compute_metrics(log, _scenario_phi(scenario))
+    ctl = scenario.config["controller"]
+    metrics = compute_metrics(log, ctl.get("phi"))
 
     extra = {}
-    ctl = scenario.controller
-    if isinstance(ctl, DeltaAdaptiveSMC) and scenario.plant.true_bound is not None:
-        p = ctl.params
-        if p.k > 0.0:
-            mu = scenario.plant.true_bound
-            v0 = float(abs(log.s[0]) + log.gain[0] / p.k)
-            bounds, _ = certificate_summary(mu, p.rho, p.phi, p.k, v0=v0)
-            r2 = verify_ultimate_bound(log, p.k, p.rho, mu, bounds.b)
+    if ctl["kind"] == "delta_adaptive" and scenario.plant.true_bound is not None:
+        bounds, _, r2 = _certify(scenario, log)
+        if r2 is not None:
             # Outside the certificate's preconditions there is nothing to satisfy.
             metrics.ultimate_bound_satisfied = r2.holds if r2.applicable else None
             extra["ultimate_bound"] = {"applicable": r2.applicable, "holds": r2.holds,
@@ -134,13 +132,10 @@ def cmd_compare(args):
                 "with the first scenario"
             )
 
-    phi = None
-    for sc in scenarios:
-        p = _scenario_phi(sc)
-        if isinstance(sc.controller, DeltaAdaptiveSMC):
-            phi = p
-            break
-        phi = phi if phi is not None else p
+    # The first delta-adaptive phi, else the first phi.
+    ctls = sorted((sc.config["controller"] for sc in scenarios),
+                  key=lambda c: c["kind"] != "delta_adaptive")
+    phi = next((c["phi"] for c in ctls if "phi" in c), None)
 
     rows = []
     for sc in scenarios:
@@ -169,11 +164,10 @@ def cmd_compare(args):
 def cmd_verify(args):
     path = resolve_scenario(args.scenario)
     scenario = load_scenario(path, overrides=_overrides(args))
-    ctl = scenario.controller
-    if not isinstance(ctl, DeltaAdaptiveSMC):
+    p = scenario.config["controller"]
+    if p["kind"] != "delta_adaptive":
         raise ConfigError("verify requires a scenario using the delta_adaptive controller")
-    p = ctl.params
-    eta = ultimate_band(p.phi)
+    eta = ultimate_band(p["phi"])
     print(f"eta = {eta:.9g}")
 
     mu = scenario.plant.true_bound
@@ -182,18 +176,14 @@ def cmd_verify(args):
         return EXIT_OK
 
     log = run_scenario(scenario)
-    v0 = float(abs(log.s[0]) + (log.gain[0] / p.k if p.k > 0.0 else math.nan))
-
-    bounds, ob = certificate_summary(mu, p.rho, p.phi, p.k,
-                                     v0=v0 if p.k > 0.0 else None)
+    bounds, ob, r2 = _certify(scenario, log)
     print(f"sigma = {_fmt(bounds.sigma)}  T = {_fmt(bounds.T)}  b = {_fmt(bounds.b)}")
     if ob.feasible:
         print(f"m = {ob.m:.9g}  delta = {ob.delta:.9g}")
     else:
         print("m: infeasible for these mu, rho, phi (no excursion bound certified)")
 
-    if p.k > 0.0 and math.isfinite(bounds.b):
-        r2 = verify_ultimate_bound(log, p.k, p.rho, mu, bounds.b)
+    if r2 is not None:
         status = "not applicable" if not r2.applicable else ("pass" if r2.holds else "FAIL")
         detail = f"max V' after T = {_fmt(r2.max_vprime_after)} vs 1.05*b = {_fmt(1.05 * r2.b)}"
         if r2.reason:
@@ -202,7 +192,7 @@ def cmd_verify(args):
     else:
         print("ultimate-bound check: not applicable (k = 0, decay rate undefined)")
 
-    r3 = verify_band_excursion(log, ob.m, ob.delta, p.phi)
+    r3 = verify_band_excursion(log, ob.m, ob.delta, p["phi"])
     if not r3.applicable:
         print(f"excursion-bound check: not applicable ({r3.reason})")
     else:
@@ -210,7 +200,7 @@ def cmd_verify(args):
         print(f"excursion-bound check: {status}  max |s| after band entry = "
               f"{r3.max_excursion:.6g} vs 1.05*delta = {1.05 * r3.delta:.6g}")
 
-    trace = lyapunov_trace(log, mu, p.rho, p.phi, p.k)
+    trace = lyapunov_trace(log, mu, p["rho"], p["phi"], p["k"])
     checked = int(trace.checked.sum())
     print(f"decay check outside the band: {checked - len(trace.violations)}/{checked} rows "
           f"within certificate (+slack); {len(trace.isolated_violations)} violations away "

@@ -11,7 +11,7 @@ the package; waveforms there are desk-scale reconstructions (the originals
 exist only as figures) and carry "note" keys saying so.
 """
 
-import copy
+import functools
 import importlib.resources
 import json
 import math
@@ -29,7 +29,7 @@ from .controllers import (
     UtkinParams,
 )
 from .core import ultimate_band
-from .errors import ConfigError, ParameterError, TuningWarning
+from .errors import ConfigError, ParameterError, SmcError, TuningWarning
 from .plants import (
     LinearPlant,
     MultiSineSignal,
@@ -44,117 +44,187 @@ from .sim import IntegrationSettings, Scenario
 
 BOUND_CHECK_SAMPLES = 100_000
 
-_SIGNAL_KINDS = ("smooth_multi_sine", "square_sequence", "custom_table")
-_PLANT_KINDS = ("regulation", "linear", "tracking")
-_CONTROLLER_KINDS = ("classical", "boundary_layer", "utkin", "plestan", "delta_adaptive")
+_NUMBER = (int, float)
 
 
 def _fail(key, message):
     raise ConfigError(f"{key}: {message}")
 
 
+def _key(path, key):
+    return f"{path}.{key}" if path else key
+
+
 def _get(d, key, path, types=None, required=True, default=None):
     if key not in d:
         if required:
-            _fail(f"{path}.{key}" if path else key, "missing required field")
-        return copy.deepcopy(default)
+            _fail(_key(path, key), "missing required field")
+        return default
     v = d[key]
     if types is not None and not isinstance(v, types):
-        _fail(f"{path}.{key}" if path else key,
-              f"expected {types}, got {type(v).__name__}")
+        _fail(_key(path, key), f"expected {types}, got {type(v).__name__}")
+    if isinstance(v, bool) and types in (int, _NUMBER):
+        _fail(_key(path, key), "expected a number, got a boolean")
     return v
 
 
+def _finite(v, where, message):
+    """v as a float; ConfigError(message) unless it is a finite int or float."""
+    if isinstance(v, _NUMBER) and not isinstance(v, bool):
+        try:
+            f = float(v)
+        except OverflowError:  # an int beyond the float range
+            f = math.inf
+        if math.isfinite(f):
+            return f
+    _fail(where, message.format(v))
+
+
+# Field parsers: (d, key, path) -> the normalized value of d[key].
+
+
 def _num(d, key, path, required=True, default=None):
-    v = _get(d, key, path, types=(int, float), required=required, default=default)
-    if v is not None and isinstance(v, bool):
-        _fail(f"{path}.{key}", "expected a number, got a boolean")
-    if v is not None and not math.isfinite(v):
-        _fail(f"{path}.{key}", f"must be finite, got {v!r}")
-    return float(v) if v is not None else None
+    v = _get(d, key, path, _NUMBER, required, default)
+    return None if v is None else _finite(v, _key(path, key), "must be finite, got {!r}")
 
 
-def _num_list(d, key, path, required=True):
-    v = _get(d, key, path, types=list, required=required)
-    if v is None:
-        return None
+def _opt(default=None):
+    """Parser of an optional number; None marks a default derived later."""
+    return functools.partial(_num, required=False, default=default)
+
+
+def _num_list(d, key, path):
+    return [_finite(v, f"{_key(path, key)}[{i}]", "must be a finite number, got {!r}")
+            for i, v in enumerate(_get(d, key, path, types=list))]
+
+
+def _schedule(d, key, path):
+    """A square wave's amplitude schedule, a list of [start_time, amplitude]."""
     out = []
-    for i, item in enumerate(v):
-        if not isinstance(item, (int, float)) or isinstance(item, bool) or not math.isfinite(item):
-            _fail(f"{path}.{key}[{i}]", f"must be a finite number, got {item!r}")
-        out.append(float(item))
+    for i, pair in enumerate(_get(d, key, path, types=list)):
+        where = f"{_key(path, key)}[{i}]"
+        if not (isinstance(pair, list) and len(pair) == 2):
+            _fail(where, "expected [start_time, amplitude]")
+        out.append([_finite(v, where, "must be a finite number, got {!r}") for v in pair])
     return out
+
+
+_str = functools.partial(_get, types=str)
 
 
 def _known_keys(d, allowed, path):
     for k in d:
         if k not in allowed:
-            _fail(f"{path}.{k}" if path else k, f"unknown field (allowed: {sorted(allowed)})")
+            _fail(_key(path, k), f"unknown field (allowed: {sorted(allowed)})")
 
 
-# ---------------------------------------------------------------------------
-# Normalization (validate + fill defaults)
+def _fields(d, fields, path, extra=()):
+    """Reject keys of d beyond fields and extra, then parse each field."""
+    _known_keys(d, {*fields, *extra}, path)
+    return {name: parse(d, name, path) for name, parse in fields.items()}
 
 
-def _normalize_signal(raw, path):
-    if not isinstance(raw, dict):
-        _fail(path, "signal spec must be an object")
-    kind = _get(raw, "kind", path, types=str)
-    if kind == "smooth_multi_sine":
-        _known_keys(raw, {"kind", "amplitudes", "frequencies", "phases", "bound", "note"}, path)
-        out = {
-            "kind": kind,
-            "amplitudes": _num_list(raw, "amplitudes", path),
-            "frequencies": _num_list(raw, "frequencies", path),
-            "phases": _num_list(raw, "phases", path),
-            "bound": _num(raw, "bound", path),
-        }
-    elif kind == "square_sequence":
-        _known_keys(raw, {"kind", "half_period", "amplitudes", "bound", "note"}, path)
-        sched = _get(raw, "amplitudes", path, types=list)
-        norm_sched = []
-        for i, pair in enumerate(sched):
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)):
-                _fail(f"{path}.amplitudes[{i}]", "expected [start_time, amplitude]")
-            norm_sched.append([float(pair[0]), float(pair[1])])
-        out = {
-            "kind": kind,
-            "half_period": _num(raw, "half_period", path),
-            "amplitudes": norm_sched,
-            "bound": _num(raw, "bound", path),
-        }
-    elif kind == "custom_table":
-        _known_keys(raw, {"kind", "path", "bound", "note"}, path)
-        out = {
-            "kind": kind,
-            "path": _get(raw, "path", path, types=str),
-            "bound": _num(raw, "bound", path),
-        }
-    else:
-        _fail(f"{path}.kind", f"unknown signal kind {kind!r} (allowed: {_SIGNAL_KINDS})")
-    if "note" in raw:
-        out["note"] = _get(raw, "note", path, types=str)
+def _object(fields):
+    """Parser of a nested object with the given fields."""
+    return lambda d, key, path: _fields(_get(d, key, path, types=dict), fields, _key(path, key))
+
+
+def _noted(d, path, out):
+    """out plus the optional free-text "note" of d."""
+    if "note" in d:
+        out["note"] = _str(d, "note", path)
     return out
 
 
-def _build_signal(spec, base_dir):
-    kind = spec["kind"]
-    try:
-        if kind == "smooth_multi_sine":
-            return MultiSineSignal(spec["amplitudes"], spec["frequencies"],
-                                   spec["phases"], spec["bound"])
-        if kind == "square_sequence":
-            return SquareSignal(spec["half_period"],
-                                [tuple(p) for p in spec["amplitudes"]], spec["bound"])
-        path = spec["path"]
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        return TableSignal.from_csv(path, spec["bound"])
-    except ParameterError as exc:
-        raise ConfigError(f"uncertainty: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"uncertainty.path: cannot read table {path!r} ({exc})") from exc
+def _kind(table, family, d, key, path="", extra=()):
+    """Parser of an object {"kind": k, field: value, ...}, k a key of table."""
+    d, path = _get(d, key, path, types=dict), _key(path, key)
+    kind = _str(d, "kind", path)
+    if kind not in table:
+        _fail(f"{path}.kind", f"unknown {family} kind {kind!r} (allowed: {tuple(table)})")
+    return {"kind": kind, **_fields(d, table[kind][0], path, ("kind", *extra))}
+
+
+def _args(spec):
+    return {k: v for k, v in spec.items() if k not in ("kind", "note")}
+
+
+# ---------------------------------------------------------------------------
+# Schema: one table per family, kind -> (field -> parser, builder). A builder
+# takes the normalized fields as keywords and names its classes in its body,
+# so they are looked up in this module when it is called (a tracer may have
+# replaced them by then). Adding a kind means adding one entry.
+
+_SIGNALS = {
+    "smooth_multi_sine": (
+        {"amplitudes": _num_list, "frequencies": _num_list, "phases": _num_list, "bound": _num},
+        lambda base, **c: MultiSineSignal(**c)),
+    "square_sequence": (
+        {"half_period": _num, "amplitudes": _schedule, "bound": _num},
+        lambda base, half_period, amplitudes, bound:
+            SquareSignal(half_period, [tuple(p) for p in amplitudes], bound)),
+    "custom_table": (
+        {"path": _str, "bound": _num},
+        lambda base, path, bound: TableSignal.from_csv(os.path.join(base, path), bound)),
+}
+
+# A plant builder also takes the built uncertainty signals, in the order the
+# plant's uncertainty names them.
+_PLANTS = {
+    "regulation": ({}, lambda w: RegulationPlant(*w)),
+    "linear": ({"a": _num, "b": _num}, lambda w, a, b: LinearPlant(a, b, *w)),
+    "tracking": (
+        {"lambda": _num, "reference": _object({"amplitude": _num, "omega": _num})},
+        lambda w, reference, **p: TrackingPlant(*w, SineReference(**reference), p["lambda"])),
+}
+
+_CONTROLLERS = {
+    "classical": ({"K": _num}, lambda **c: ClassicalSMC(**c)),
+    "boundary_layer": ({"K": _num, "phi": _num}, lambda **c: BoundaryLayerSMC(**c)),
+    "utkin": (
+        {"tau": _opt(), "alpha": _opt(0.95), "nu": _opt(1.0), "K_plus": _opt(), "M": _opt(),
+         "epsilon": _opt(0.01), "K0": _opt(1.0)},
+        lambda **c: UtkinAdaptiveSMC(UtkinParams(**c))),
+    "plestan": (
+        {"K_bar": _num, "epsilon": _num, "kappa": _num, "K0": _num},
+        lambda **c: PlestanAdaptiveSMC(PlestanParams(**c))),
+    "delta_adaptive": (
+        {"phi": _num, "rho": _num, "k": _num, "mu_hat0": _num},
+        lambda **c: DeltaAdaptiveSMC(DeltaAdaptiveParams(**c))),
+}
+
+_INTEGRATION = {"dt": _opt(1e-4),
+                "substeps": functools.partial(_get, types=int, required=False, default=1),
+                "t_end": _opt(30.0)}
+
+
+def _signal(d, key, path):
+    spec = _kind(_SIGNALS, "signal", d, key, path, ("note",))
+    return _noted(d[key], _key(path, key), spec)
+
+
+def _tracking_uncertainty(raw):
+    """The tracking plant's uncertainty: a multiplicative and an additive signal."""
+    d = _get(raw, "uncertainty", "", types=dict)
+    _known_keys(d, {"kind", "multiplicative", "additive", "note"}, "uncertainty")
+    kind = _str(d, "kind", "uncertainty")
+    if kind != "multiplicative_plus_additive":
+        _fail("uncertainty.kind", "tracking plant requires kind 'multiplicative_plus_additive'")
+    signals = {name: _signal(d, name, "uncertainty") for name in ("multiplicative", "additive")}
+    return _noted(d, "uncertainty", {"kind": kind, **signals})
+
+
+def _utkin_defaults(ctl, mu, dt):
+    """Fill utkin's defaults derived from other values: K_plus = 10*mu (the
+    declared uncertainty bound), tau = 10*dt and M = 2*nu*K_plus."""
+    if ctl["K_plus"] is None:
+        if mu is None:
+            _fail("controller.K_plus", "required when the plant has no declared uncertainty bound")
+        ctl["K_plus"] = 10.0 * mu
+    if ctl["tau"] is None:
+        ctl["tau"] = 10.0 * dt
+    if ctl["M"] is None:
+        ctl["M"] = 2.0 * ctl["nu"] * ctl["K_plus"]
 
 
 def normalize_config(raw, path_hint="scenario"):
@@ -163,136 +233,30 @@ def normalize_config(raw, path_hint="scenario"):
         raise ConfigError(f"{path_hint}: top level must be an object")
     _known_keys(raw, {"name", "note", "plant", "uncertainty", "controller",
                       "x0", "integration"}, "")
-    out = {"name": _get(raw, "name", "", types=str)}
-    if "note" in raw:
-        out["note"] = _get(raw, "note", "", types=str)
-
-    plant_raw = _get(raw, "plant", "", types=dict)
-    pkind = _get(plant_raw, "kind", "plant", types=str)
-    if pkind == "regulation":
-        _known_keys(plant_raw, {"kind"}, "plant")
-        plant = {"kind": pkind}
-    elif pkind == "linear":
-        _known_keys(plant_raw, {"kind", "a", "b"}, "plant")
-        plant = {"kind": pkind, "a": _num(plant_raw, "a", "plant"),
-                 "b": _num(plant_raw, "b", "plant")}
-    elif pkind == "tracking":
-        _known_keys(plant_raw, {"kind", "lambda", "reference"}, "plant")
-        ref = _get(plant_raw, "reference", "plant", types=dict)
-        _known_keys(ref, {"amplitude", "omega"}, "plant.reference")
-        plant = {
-            "kind": pkind,
-            "lambda": _num(plant_raw, "lambda", "plant"),
-            "reference": {"amplitude": _num(ref, "amplitude", "plant.reference"),
-                          "omega": _num(ref, "omega", "plant.reference")},
-        }
+    out = _noted(raw, "", {"name": _str(raw, "name", "")})
+    out["plant"] = _kind(_PLANTS, "plant", raw, "plant")
+    if out["plant"]["kind"] == "tracking":
+        out["uncertainty"] = _tracking_uncertainty(raw)
     else:
-        _fail("plant.kind", f"unknown plant kind {pkind!r} (allowed: {_PLANT_KINDS})")
-
-    unc_raw = _get(raw, "uncertainty", "", types=dict)
-    if pkind == "tracking":
-        _known_keys(unc_raw, {"kind", "multiplicative", "additive", "note"}, "uncertainty")
-        ukind = _get(unc_raw, "kind", "uncertainty", types=str)
-        if ukind != "multiplicative_plus_additive":
-            _fail("uncertainty.kind",
-                  "tracking plant requires kind 'multiplicative_plus_additive'")
-        unc = {
-            "kind": ukind,
-            "multiplicative": _normalize_signal(
-                _get(unc_raw, "multiplicative", "uncertainty", types=dict),
-                "uncertainty.multiplicative"),
-            "additive": _normalize_signal(
-                _get(unc_raw, "additive", "uncertainty", types=dict),
-                "uncertainty.additive"),
-        }
-        if "note" in unc_raw:
-            unc["note"] = _get(unc_raw, "note", "uncertainty", types=str)
-    else:
-        unc = _normalize_signal(unc_raw, "uncertainty")
-
-    ctl_raw = _get(raw, "controller", "", types=dict)
-    ckind = _get(ctl_raw, "kind", "controller", types=str)
-    integ_raw = _get(raw, "integration", "", types=dict, required=False, default={})
-    _known_keys(integ_raw, {"dt", "substeps", "t_end"}, "integration")
-    dt = _num(integ_raw, "dt", "integration", required=False, default=1e-4)
-    substeps = _get(integ_raw, "substeps", "integration", types=int,
-                    required=False, default=1)
-    t_end = _num(integ_raw, "t_end", "integration", required=False, default=30.0)
-    integ = {"dt": dt, "substeps": substeps, "t_end": t_end}
-
-    if ckind == "classical":
-        _known_keys(ctl_raw, {"kind", "K"}, "controller")
-        ctl = {"kind": ckind, "K": _num(ctl_raw, "K", "controller")}
-    elif ckind == "boundary_layer":
-        _known_keys(ctl_raw, {"kind", "K", "phi"}, "controller")
-        ctl = {"kind": ckind, "K": _num(ctl_raw, "K", "controller"),
-               "phi": _num(ctl_raw, "phi", "controller")}
-    elif ckind == "utkin":
-        _known_keys(ctl_raw, {"kind", "tau", "alpha", "nu", "M", "K_plus",
-                              "epsilon", "K0"}, "controller")
-        mu = unc.get("bound") if pkind != "tracking" else None
-        k_plus = _num(ctl_raw, "K_plus", "controller", required=False)
-        if k_plus is None:
-            if mu is None:
-                _fail("controller.K_plus",
-                      "required when the plant has no declared uncertainty bound")
-            k_plus = 10.0 * mu
-        nu = _num(ctl_raw, "nu", "controller", required=False, default=1.0)
-        ctl = {
-            "kind": ckind,
-            "tau": _num(ctl_raw, "tau", "controller", required=False, default=10.0 * dt),
-            "alpha": _num(ctl_raw, "alpha", "controller", required=False, default=0.95),
-            "nu": nu,
-            "K_plus": k_plus,
-            "M": _num(ctl_raw, "M", "controller", required=False, default=2.0 * nu * k_plus),
-            "epsilon": _num(ctl_raw, "epsilon", "controller", required=False, default=0.01),
-            "K0": _num(ctl_raw, "K0", "controller", required=False, default=1.0),
-        }
-    elif ckind == "plestan":
-        _known_keys(ctl_raw, {"kind", "K_bar", "epsilon", "kappa", "K0"}, "controller")
-        ctl = {"kind": ckind,
-               "K_bar": _num(ctl_raw, "K_bar", "controller"),
-               "epsilon": _num(ctl_raw, "epsilon", "controller"),
-               "kappa": _num(ctl_raw, "kappa", "controller"),
-               "K0": _num(ctl_raw, "K0", "controller")}
-    elif ckind == "delta_adaptive":
-        _known_keys(ctl_raw, {"kind", "phi", "rho", "k", "mu_hat0"}, "controller")
-        ctl = {"kind": ckind,
-               "phi": _num(ctl_raw, "phi", "controller"),
-               "rho": _num(ctl_raw, "rho", "controller"),
-               "k": _num(ctl_raw, "k", "controller"),
-               "mu_hat0": _num(ctl_raw, "mu_hat0", "controller")}
-    else:
-        _fail("controller.kind",
-              f"unknown controller kind {ckind!r} (allowed: {_CONTROLLER_KINDS})")
-
-    out["plant"] = plant
-    out["uncertainty"] = unc
-    out["controller"] = ctl
+        out["uncertainty"] = _signal(raw, "uncertainty", "")
+    integ = _fields(_get(raw, "integration", "", dict, required=False, default={}),
+                    _INTEGRATION, "integration")
+    out["controller"] = _kind(_CONTROLLERS, "controller", raw, "controller")
+    if out["controller"]["kind"] == "utkin":
+        _utkin_defaults(out["controller"], out["uncertainty"].get("bound"), integ["dt"])
     out["x0"] = _num_list(raw, "x0", "")
     out["integration"] = integ
     return out
 
 
-def _build_controller(ctl, path="controller"):
+def _build_signal(spec, base_dir):
     try:
-        kind = ctl["kind"]
-        if kind == "classical":
-            return ClassicalSMC(ctl["K"])
-        if kind == "boundary_layer":
-            return BoundaryLayerSMC(ctl["K"], ctl["phi"])
-        if kind == "utkin":
-            return UtkinAdaptiveSMC(UtkinParams(
-                tau=ctl["tau"], alpha=ctl["alpha"], nu=ctl["nu"], M=ctl["M"],
-                K_plus=ctl["K_plus"], epsilon=ctl["epsilon"], K0=ctl["K0"]))
-        if kind == "plestan":
-            return PlestanAdaptiveSMC(PlestanParams(
-                K_bar=ctl["K_bar"], epsilon=ctl["epsilon"],
-                kappa=ctl["kappa"], K0=ctl["K0"]))
-        return DeltaAdaptiveSMC(DeltaAdaptiveParams(
-            phi=ctl["phi"], rho=ctl["rho"], k=ctl["k"], mu_hat0=ctl["mu_hat0"]))
+        return _SIGNALS[spec["kind"]][1](base_dir, **_args(spec))
     except ParameterError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"uncertainty: {exc}") from exc
+    except (OSError, ValueError) as exc:  # unreadable, undecodable or NUL in the name
+        path = os.path.join(base_dir, spec["path"])
+        raise ConfigError(f"uncertainty.path: cannot read table {path!r} ({exc})") from exc
 
 
 def _warn_off_grid(sig, dt):
@@ -302,7 +266,7 @@ def _warn_off_grid(sig, dt):
     edges += [("amplitude schedule time", t0) for t0, _ in sig.schedule]
     for label, value in edges:
         q = value / dt
-        if abs(q - round(q)) > 1e-9 * abs(q):
+        if not math.isfinite(q) or abs(q - round(q)) > 1e-9 * abs(q):
             warnings.warn(
                 f"square_sequence {label} {value!r} is not a multiple of dt = {dt!r}; "
                 f"edges fall between samples",
@@ -320,41 +284,31 @@ def build_scenario(config, base_dir=".") -> Scenario:
     a worst-case band crossing).
     """
     cfg = normalize_config(config)
-    integ = cfg["integration"]
     try:
-        settings = IntegrationSettings(dt=integ["dt"], substeps=integ["substeps"],
-                                       t_end=integ["t_end"])
+        settings = IntegrationSettings(**cfg["integration"])
     except ParameterError as exc:
         raise ConfigError(f"integration: {exc}") from exc
 
-    pkind = cfg["plant"]["kind"]
+    unc, pkind = cfg["uncertainty"], cfg["plant"]["kind"]
+    specs = [unc["multiplicative"], unc["additive"]] if pkind == "tracking" else [unc]
     try:
-        if pkind == "tracking":
-            mult = _build_signal(cfg["uncertainty"]["multiplicative"], base_dir)
-            add = _build_signal(cfg["uncertainty"]["additive"], base_dir)
-            ref = SineReference(cfg["plant"]["reference"]["amplitude"],
-                                cfg["plant"]["reference"]["omega"])
-            plant = TrackingPlant(mult, add, ref, cfg["plant"]["lambda"])
-            signals = [mult, add]
-        else:
-            sig = _build_signal(cfg["uncertainty"], base_dir)
-            if pkind == "regulation":
-                plant = RegulationPlant(sig)
-            else:
-                plant = LinearPlant(cfg["plant"]["a"], cfg["plant"]["b"], sig)
-            signals = [sig]
+        signals = [_build_signal(spec, base_dir) for spec in specs]
+        plant = _PLANTS[pkind][1](signals, **_args(cfg["plant"]))
     except ParameterError as exc:
         raise ConfigError(f"plant: {exc}") from exc
 
     for sig in signals:
         try:
             verify_signal_bound(sig, settings.t_end, BOUND_CHECK_SAMPLES)
-        except ParameterError as exc:
+        except SmcError as exc:  # a bound exceeded, or a table too short
             raise ConfigError(f"uncertainty: {exc}") from exc
         if sig.kind == "square_sequence":
             _warn_off_grid(sig, settings.dt)
 
-    controller = _build_controller(cfg["controller"])
+    try:
+        controller = _CONTROLLERS[cfg["controller"]["kind"]][1](**_args(cfg["controller"]))
+    except ParameterError as exc:
+        raise ConfigError(f"controller: {exc}") from exc
 
     if cfg["controller"]["kind"] == "delta_adaptive" and plant.true_bound is not None:
         phi = cfg["controller"]["phi"]
@@ -383,7 +337,7 @@ def load_config(path):
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, undecodable bytes, an over-long integer
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return raw
 

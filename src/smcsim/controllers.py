@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .core import _adaptation_shape, _sign, sat, ultimate_band
+from .core import _adaptation_shape, _require_positive, _sat, _sign, ultimate_band
 from .errors import ControllabilityError, ParameterError, TuningWarning
 
 
@@ -142,9 +142,9 @@ class BoundaryLayerSMC:
     def __init__(self, K: float, phi: float):
         if not math.isfinite(K) or K <= 0.0:
             raise ParameterError(f"K must be positive and finite, got {K!r}")
+        _require_positive("phi", phi)
         self.K = K
         self.phi = phi
-        sat(0.0, phi)  # validates phi
 
     def reset(self):
         pass
@@ -152,7 +152,7 @@ class BoundaryLayerSMC:
     def step(self, s, h, g, dt):
         if not 0.0 < dt < _INF:
             _check_dt(dt)
-        return -self.K * sat(s, self.phi), self.K, 0.0
+        return -self.K * _sat(s, self.phi), self.K, 0.0
 
 
 class UtkinAdaptiveSMC:

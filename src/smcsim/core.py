@@ -50,6 +50,12 @@ def _sign(s: float) -> int:
 def sat(s: float, phi: float) -> float:
     """Linear saturation of s/phi, clamped to [-1, 1]."""
     _require_positive("phi", phi)
+    return _sat(s, phi)
+
+
+def _sat(s: float, phi: float) -> float:
+    """sat without the check on phi, for a caller that validated phi once
+    (the boundary-layer controller's per-step path)."""
     r = s / phi
     if r > 1.0:
         return 1.0
@@ -94,19 +100,34 @@ def ultimate_band(phi: float) -> float:
     return BAND_RATIO * phi
 
 
+def _certificate(mu, rho, k, v0, b=None):
+    """The one source of the reach-time certificate's arithmetic, unchecked.
+
+    Returns (sigma, sigma/k, b, T): sigma = mu + 1/(k*rho) (inf when k*rho
+    underflows to 0), b by default the midpoint of (sigma/k, v0), and
+    T = (1/k)*ln((v0 - sigma/k)/(b - sigma/k)), NaN where that ratio is not
+    positive, inf at b = sigma/k and negative for b > v0.
+    """
+    sigma = mu + 1.0 / (k * rho) if k * rho else math.inf
+    floor = sigma / k
+    if b is None:
+        b = 0.5 * (floor + v0)
+    ratio = (v0 - floor) / (b - floor) if b != floor else math.inf
+    return sigma, floor, b, (math.log(ratio) / k if ratio > 0.0 else math.nan)
+
+
 def reach_time_bound(v0, k, rho, mu, b) -> float:
     """Time after which |s| + gain/k is guaranteed below b.
 
-    Evaluates T = (1/k)*ln((v0 - sigma/k)/(b - sigma/k)) with
-    sigma = mu + 1/(k*rho). Requires sigma/k < b <= v0; T = 0 at b = v0 and
+    Checks the arguments and the certificate's preconditions, then returns
+    the T of _certificate. Requires sigma/k < b <= v0; T = 0 at b = v0 and
     grows without bound as b approaches sigma/k from above.
     """
     _require_positive("k", k)
     _require_positive("rho", rho)
     if mu < 0.0 or not math.isfinite(mu):
         raise ParameterError(f"mu must be finite and >= 0, got {mu!r}")
-    sigma = mu + 1.0 / (k * rho)
-    floor = sigma / k
+    _, floor, _, T = _certificate(mu, rho, k, v0, b)
     if v0 <= floor:
         raise PreconditionError(
             f"initial level v0 = {v0!r} must exceed sigma/k = {floor!r}"
@@ -115,7 +136,7 @@ def reach_time_bound(v0, k, rho, mu, b) -> float:
         raise PreconditionError(
             f"bound b = {b!r} must lie in (sigma/k, v0] = ({floor!r}, {v0!r}]"
         )
-    return math.log((v0 - floor) / (b - floor)) / k
+    return T
 
 
 class OvershootBound(NamedTuple):

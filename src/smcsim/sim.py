@@ -155,12 +155,15 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     # In place, so that no log-sized temporary is freed before the log is
     # allocated: glibc would then raise its mmap threshold and place the log
     # on the heap, where freed logs are not returned and peak memory grows.
-    t_arr = np.arange(n, dtype=float)
-    t_arr *= dt
-    x_arr = np.empty((n, plant.n_states))
-    s_arr, u_arr, gain_arr, rate_arr, df_arr = (np.empty(n) for _ in range(5))
-    v_arr = np.zeros(n)
-    vp_arr = np.zeros(n)
+    try:
+        t_arr = np.arange(n, dtype=float)
+        t_arr *= dt
+        x_arr = np.empty((n, plant.n_states))
+        s_arr, u_arr, gain_arr, rate_arr, df_arr = (np.empty(n) for _ in range(5))
+        v_arr = np.zeros(n)
+        vp_arr = np.zeros(n)
+    except (MemoryError, ValueError) as exc:  # beyond memory, or beyond numpy's size limit
+        raise ParameterError(f"cannot allocate a log of {n} rows ({exc})") from None
     mu = plant.true_bound
     lyap = None
     if isinstance(controller, DeltaAdaptiveSMC) and mu is not None:
@@ -418,25 +421,24 @@ def verify_ultimate_bound(log: TrajectoryLog, k, rho, mu, b, tol=0.05) -> Ultima
     ``applicable`` reports whether the certificate's own preconditions hold
     (v0 > sigma/k and sigma/k < b < v0); the inequality is still measured
     whenever the T formula is defined, since the certificate may hold outside
-    its sufficient conditions.
+    its sufficient conditions. sigma, sigma/k and T come from
+    core._certificate; a negative T (b above v0) counts as 0.
     """
     if k <= 0.0 or rho <= 0.0:
         return UltimateBoundCheck(False, None, None, math.nan, math.nan, b,
                                   None, None, "k and rho must be positive")
-    sigma = mu + 1.0 / (k * rho)
-    floor = sigma / k
-    v0 = float(abs(log.s[0]) + log.gain[0] / k)
+    vprime = np.abs(log.s) + log.gain / k
+    v0 = float(vprime[0])
+    sigma, floor, _, T = core._certificate(mu, rho, k, v0, b)
     applicable = v0 > floor and floor < b < v0
     reason = "" if applicable else (
         f"initial level v0 = {v0:.6g} does not satisfy v0 > sigma/k = {floor:.6g} "
         f"with sigma/k < b < v0"
     )
-    ratio = (v0 - floor) / (b - floor) if b != floor else math.inf
-    if not (math.isfinite(ratio) and ratio > 0.0):
+    if math.isnan(T):
         return UltimateBoundCheck(applicable, None, None, sigma, v0, b, None, None,
                                   reason or "reach-time formula undefined for this b")
-    T = math.log(ratio) / k if ratio >= 1.0 else 0.0
-    vprime = np.abs(log.s) + log.gain / k
+    T = T if T > 0.0 else 0.0  # b above v0: bounded from the start
     after = vprime[log.t >= T]
     if after.size == 0:
         return UltimateBoundCheck(applicable, None, T, sigma, v0, b, None, None,
@@ -516,18 +518,13 @@ def worst_case_run(s0, mu_hat0, mu, m, eta, dt=1e-4, t_end=None):
 def certificate_summary(mu, rho, phi, k, v0=None, b=None):
     """Convenience bundle of sigma, T, b, m, delta for reports.
 
-    When v0 is supplied and the reach-time formula is defined, b defaults to
-    the midpoint of (sigma/k, v0).
+    sigma, T and b come from core._certificate: b defaults to the midpoint of
+    (sigma/k, v0), and T and that default are NaN without v0. sigma and T
+    are NaN unless k and rho are positive.
     """
-    sigma = mu + 1.0 / (k * rho) if k > 0.0 and rho > 0.0 else math.nan
-    T = math.nan
-    if v0 is not None and math.isfinite(sigma) and k > 0.0:
-        floor = sigma / k
-        if b is None:
-            b = 0.5 * (floor + v0)
-        ratio = (v0 - floor) / (b - floor) if b != floor else math.nan
-        if math.isfinite(ratio) and ratio > 0.0:
-            T = math.log(ratio) / k
+    sigma = T = math.nan
+    if k > 0.0 and rho > 0.0:
+        sigma, _, b, T = core._certificate(mu, rho, k, math.nan if v0 is None else v0, b)
     # Looked up on core at each call, so that a wrapper put on
     # core.overshoot_bound (perfbench's tracer) sees this call too.
     ob = core.overshoot_bound(mu, rho, phi)

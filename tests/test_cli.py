@@ -8,6 +8,7 @@ import pytest
 from smcsim.cli import main
 from smcsim.config import load_config, preset_path
 from smcsim.errors import TuningWarning
+from smcsim.sim import row_count
 
 
 def write_scenario(tmp_path, cfg, name="scenario.json"):
@@ -56,6 +57,15 @@ class TestRun:
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2
+
+    @pytest.mark.parametrize("content", [b'{"name": "\xff"}', b'{"name": ' + b"1" * 5000 + b"}"],
+                             ids=["not-utf8", "5000-digit-int"])
+    def test_undecodable_scenario_file_exits_2(self, tmp_path, capsys, content):
+        # bytes that are not UTF-8, and an integer past Python's 4300-digit limit
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad_row", ["0.5,abc", "0.5"])
     def test_malformed_table_row_exits_2(self, tmp_path, capsys, bad_row):
@@ -133,6 +143,17 @@ class TestRun:
         assert "gain = 0.001)" in err
 
 
+    @pytest.mark.parametrize("argv", [["verify", "regulation-square", "--t-end", "1e20"],
+                                      ["run", "regulation-smooth", "--t-end", "1e12"]])
+    def test_unallocatable_log_exits_2(self, tmp_path, capsys, argv):
+        # 1e24 rows exceed numpy's size limit and 1e16 rows need 71 PiB:
+        # both allocations are refused at once, before anything is written.
+        out = tmp_path / "out"
+        rc = main(argv + (["--out", str(out)] if argv[0] == "run" else []))
+        assert rc == 2
+        assert f"{row_count(float(argv[3]), 1e-4)} rows" in capsys.readouterr().err
+        assert not out.exists()
+
 class TestCompare:
     def test_shared_scenario_table(self, tmp_path, capsys):
         files = []
@@ -189,6 +210,13 @@ class TestVerify:
         rc = main(["verify", path])
         assert rc == 0
         assert "not applicable" in capsys.readouterr().out
+
+    def test_underflowing_k_rho_exits_0(self, tmp_path, capsys):
+        # k*rho underflows to 0, so 1/(k*rho) has no float value: sigma is inf.
+        path = short_smooth(tmp_path, t_end=0.0002, k=1e-200, rho=1e-200)
+        with np.errstate(all="ignore"):
+            assert main(["verify", path]) == 0
+        assert "sigma = inf" in capsys.readouterr().out
 
     def test_tracking_has_no_bound(self, tmp_path, capsys):
         cfg = load_config(preset_path("tracking"))

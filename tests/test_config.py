@@ -171,6 +171,74 @@ class TestValidation:
         assert not [w for w in recwarn if issubclass(w.category, TuningWarning)]
 
 
+
+def tracking_config(**patch):
+    cfg = load_config(preset_path("tracking"))
+    cfg["integration"]["t_end"] = 2.0
+    cfg.update(patch)
+    return cfg
+
+
+class TestErrorText:
+    """The exact ConfigError text of one malformed config per branch."""
+
+    @pytest.mark.parametrize("cfg,text", [
+        (smooth_config(uncertainty={"kind": "triangle"}),
+         "uncertainty.kind: unknown signal kind 'triangle' "
+         "(allowed: ('smooth_multi_sine', 'square_sequence', 'custom_table'))"),
+        (smooth_config(plant={"kind": "quadrotor"}),
+         "plant.kind: unknown plant kind 'quadrotor' (allowed: ('regulation', 'linear', 'tracking'))"),
+        (smooth_config(controller={"kind": "pid", "K": 1.0}),
+         "controller.kind: unknown controller kind 'pid' (allowed: ('classical', "
+         "'boundary_layer', 'utkin', 'plestan', 'delta_adaptive'))"),
+        (tracking_config(uncertainty={"kind": "smooth_multi_sine"}),
+         "uncertainty.kind: tracking plant requires kind 'multiplicative_plus_additive'"),
+        (smooth_config(controller={"kind": "classical", "K": 1.0, "gain": 2.0}),
+         "controller.gain: unknown field (allowed: ['K', 'kind'])"),
+        (smooth_config(uncertainty={"kind": "custom_table", "path": "w.csv", "bound": 1.0,
+                                    "scale": 2.0}),
+         "uncertainty.scale: unknown field (allowed: ['bound', 'kind', 'note', 'path'])"),
+        (smooth_config(extra=1),
+         "extra: unknown field (allowed: ['controller', 'integration', 'name', 'note', "
+         "'plant', 'uncertainty', 'x0'])"),
+        (smooth_config(controller={"kind": "boundary_layer", "K": 1.0}),
+         "controller.phi: missing required field"),
+        (tracking_config(plant={"kind": "tracking", "lambda": 6.0,
+                                "reference": {"amplitude": 3.0}}),
+         "plant.reference.omega: missing required field"),
+        (smooth_config(controller={"kind": "plestan", "K_bar": "150", "epsilon": 0.004,
+                                   "kappa": 0.01, "K0": 0.02}),
+         "controller.K_bar: expected (<class 'int'>, <class 'float'>), got str"),
+        (smooth_config(plant={"kind": "linear", "a": True, "b": 1.0}),
+         "plant.a: expected a number, got a boolean"),
+        (smooth_config(uncertainty={"kind": "square_sequence", "half_period": 2.5,
+                                    "amplitudes": [[0.0, 1.0], [5.0]], "bound": 2.0}),
+         "uncertainty.amplitudes[1]: expected [start_time, amplitude]"),
+        (tracking_config(controller={"kind": "utkin"}),
+         "controller.K_plus: required when the plant has no declared uncertainty bound"),
+    ])
+    def test_message(self, cfg, text):
+        with pytest.raises(ConfigError) as err:
+            build_scenario(cfg)
+        assert str(err.value) == text
+
+    def test_unreadable_table_path(self, tmp_path):
+        cfg = smooth_config(uncertainty={"kind": "custom_table", "path": "nope.csv",
+                                         "bound": 1.0})
+        with pytest.raises(ConfigError) as err:
+            build_scenario(cfg, base_dir=str(tmp_path))
+        path = str(tmp_path / "nope.csv")
+        assert str(err.value) == (f"uncertainty.path: cannot read table {path!r} "
+                                  f"([Errno 2] No such file or directory: {path!r})")
+
+    def test_boolean_substeps_rejected(self):
+        cfg = smooth_config()
+        cfg["integration"]["substeps"] = True
+        with pytest.raises(ConfigError) as err:
+            build_scenario(cfg)
+        assert str(err.value) == "integration.substeps: expected a number, got a boolean"
+
+
 def tuning_warnings(recwarn):
     return [str(w.message) for w in recwarn if issubclass(w.category, TuningWarning)]
 
@@ -186,6 +254,13 @@ class TestSquareEdgesOnGrid:
         build_scenario(raw)
         assert [m for m in tuning_warnings(recwarn) if "schedule time 15.00005" in m]
         assert not [m for m in tuning_warnings(recwarn) if "half_period" in m]
+
+    def test_overflowing_schedule_time_warns(self, recwarn):
+        # 1e306/dt is inf: an edge that far out is off the grid, not a crash.
+        raw = load_config(preset_path("regulation-square"))
+        raw["uncertainty"]["amplitudes"].append([1e306, 1.0])
+        build_scenario(raw)
+        assert [m for m in tuning_warnings(recwarn) if "schedule time 1e+306" in m]
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_PRESETS))
     def test_no_preset_warns(self, name, recwarn):

@@ -68,6 +68,11 @@ class TestBoundaryLayer:
         u, _, _ = BoundaryLayerSMC(2.0, 0.01).step(0.0, 0.0, 1.0, DT)
         assert u == 0.0
 
+    @pytest.mark.parametrize("phi", [0.0, -0.01, math.nan, math.inf])
+    def test_rejects_bad_phi_once_at_construction(self, phi):
+        with pytest.raises(ParameterError, match="phi"):
+            BoundaryLayerSMC(2.0, phi)
+
 
 class TestUtkin:
     def test_param_invariants(self):

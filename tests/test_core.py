@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from smcsim.core import (
+    _certificate,
     BAND_RATIO,
     adaptation_shape,
     delta_surface,
@@ -96,6 +97,21 @@ class TestUltimateBand:
         assert math.isclose(ultimate_band(0.01), 0.0041421, abs_tol=1e-7)
         assert math.isclose(ultimate_band(0.03), 0.0124264, abs_tol=1e-7)
         assert ultimate_band(1.0) == BAND_RATIO
+
+
+class TestCertificateArithmetic:
+    def test_worked_example(self):
+        # sigma = 0.5 + 1/(2*1) = 1.0, sigma/k = 0.5, midpoint b = 0.75
+        sigma, floor, b, T = _certificate(0.5, 1.0, 2.0, 1.0005)
+        assert (sigma, floor, b) == (1.0, 0.5, 0.75025)
+        assert T == math.log(2.0) / 2.0
+
+    def test_limits(self):
+        assert _certificate(0.5, 1.0, 2.0, 1.0005, b=0.5)[3] == math.inf  # b at sigma/k
+        assert _certificate(0.5, 1.0, 2.0, 1.0005, b=2.0)[3] < 0.0  # b above v0
+        assert math.isnan(_certificate(0.5, 1.0, 2.0, 0.4, b=0.6)[3])  # sigma/k between v0 and b
+        _, _, b, T = _certificate(0.5, 1.0, 2.0, math.nan)
+        assert math.isnan(b) and math.isnan(T)
 
 
 class TestReachTimeBound:
