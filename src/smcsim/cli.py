@@ -82,7 +82,8 @@ def _overrides(args):
 
 def _certify(scenario, log):
     """Certificate bounds of a delta-adaptive run and its ultimate-bound check
-    (None when k = 0, where the decay rate is undefined), with v0 = V'(0)."""
+    (None when b is not finite: at k = 0, where the decay rate is undefined,
+    or where a tiny k or k*rho makes sigma/k inf), with v0 = V'(0)."""
     c = scenario.config["controller"]
     mu, k = scenario.plant.true_bound, c["k"]
     bounds, ob = certificate_summary(mu, c["rho"], c["phi"], k, v0=float(log.Vprime[0]))
@@ -189,8 +190,11 @@ def cmd_verify(args):
         if r2.reason:
             detail += f" ({r2.reason})"
         print(f"ultimate-bound check: {status}  {detail}")
-    else:
+    elif p["k"] == 0.0:
         print("ultimate-bound check: not applicable (k = 0, decay rate undefined)")
+    else:
+        print(f"ultimate-bound check: not applicable (sigma = {_fmt(bounds.sigma)}, "
+              f"b = {_fmt(bounds.b)}: not finite at k*rho = {_fmt(p['k'] * p['rho'])})")
 
     r3 = verify_band_excursion(log, ob.m, ob.delta, p["phi"])
     if not r3.applicable:

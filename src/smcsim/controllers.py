@@ -97,7 +97,8 @@ class UtkinParams:
 
 @dataclass(frozen=True)
 class PlestanParams:
-    """Gain law K_dot = K_bar*|s|*sgn(|s| - epsilon), frozen at the floor kappa."""
+    """Gain law K_dot = K_bar*|s|*sgn(|s| - epsilon) above the floor kappa,
+    K_dot = kappa at or below it (Plestan et al., IJC 83(9), 2010)."""
 
     K_bar: float
     epsilon: float
@@ -196,7 +197,8 @@ class UtkinAdaptiveSMC:
 
 
 class PlestanAdaptiveSMC:
-    """Gain grows outside |s| = epsilon and shrinks inside, frozen at kappa."""
+    """Gain grows outside |s| = epsilon and shrinks inside, clamped at the
+    floor kappa, from which it rises at rate kappa."""
 
     kind = "plestan"
 
@@ -212,7 +214,7 @@ class PlestanAdaptiveSMC:
             _check_dt(dt)
         p = self.params
         K = self.K
-        rate = p.K_bar * abs(s) * _sign(abs(s) - p.epsilon) if K > p.kappa else 0.0
+        rate = p.K_bar * abs(s) * _sign(abs(s) - p.epsilon) if K > p.kappa else p.kappa
         K_next = K + dt * rate
         self.K = K_next if K_next > p.kappa else p.kappa
         return -K * _sign(s), K, rate

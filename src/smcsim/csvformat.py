@@ -158,6 +158,15 @@ def _layout(D, k, neg, P, width):
     return rows, keep, order
 
 
+def block_rows(ncols, precision):
+    """Rows per format_rows call that keep its largest temporaries, the byte
+    rows and keep mask of precision + 9 bytes a value, within 120 KiB: under
+    glibc's 128 KiB mmap threshold with room for allocator headers. A larger
+    temporary is mapped and faulted in afresh on every call, unless an
+    earlier free of a larger block raised the threshold."""
+    return max(1, 120 * 1024 // (ncols * (precision + 9)))
+
+
 def format_rows(block, precision):
     """CSV text of a 2-D float block, each value formatted as "%.{precision}g"."""
     block = np.asarray(block, dtype=float)

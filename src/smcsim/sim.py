@@ -28,7 +28,7 @@ from . import __version__
 from .controllers import DeltaAdaptiveSMC
 from . import core
 from .core import CertificateBounds, ultimate_band
-from .csvformat import format_rows
+from .csvformat import block_rows, format_rows
 from .errors import (
     ControllabilityError,
     InsufficientDataError,
@@ -52,8 +52,16 @@ class IntegrationSettings:
             raise ParameterError(f"dt must be positive and finite, got {self.dt!r}")
         if not (isinstance(self.substeps, int) and self.substeps >= 1):
             raise ParameterError(f"substeps must be an integer >= 1, got {self.substeps!r}")
-        if not (math.isfinite(self.t_end) and self.t_end >= self.dt):
-            raise ParameterError(f"t_end must be finite and >= dt, got {self.t_end!r}")
+        try:
+            h = self.dt / self.substeps
+        except OverflowError:  # an int beyond the float range
+            h = 0.0
+        if not h > 0.0:
+            raise ParameterError(f"dt/substeps must be a positive float, got substeps = "
+                                 f"{self.substeps!r} at dt = {self.dt!r}")
+        if not (math.isfinite(self.t_end / self.dt) and self.t_end >= self.dt):
+            raise ParameterError(f"t_end must be >= dt with a finite t_end/dt, got "
+                                 f"{self.t_end!r} at dt = {self.dt!r}")
 
 
 @dataclass
@@ -140,7 +148,6 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     dt, substeps = st.dt, st.substeps
     n = row_count(st.t_end, dt)
     h = dt / substeps
-    offsets = np.arange(substeps) * h
     substep_range = range(substeps)
 
     inputs, stage_inputs, advance, sample = (
@@ -156,6 +163,7 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     # allocated: glibc would then raise its mmap threshold and place the log
     # on the heap, where freed logs are not returned and peak memory grows.
     try:
+        offsets = np.arange(substeps) * h
         t_arr = np.arange(n, dtype=float)
         t_arr *= dt
         x_arr = np.empty((n, plant.n_states))
@@ -163,7 +171,8 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
         v_arr = np.zeros(n)
         vp_arr = np.zeros(n)
     except (MemoryError, ValueError) as exc:  # beyond memory, or beyond numpy's size limit
-        raise ParameterError(f"cannot allocate a log of {n} rows ({exc})") from None
+        raise ParameterError(f"cannot allocate a log of {n} rows at {substeps} substeps a row "
+                             f"({exc})") from None
     mu = plant.true_bound
     lyap = None
     if isinstance(controller, DeltaAdaptiveSMC) and mu is not None:
@@ -256,13 +265,61 @@ def write_csv(log: TrajectoryLog, path, precision: Optional[int] = None):
         raise ParameterError(f"precision must be >= 1, got {precision!r}")
     with open(path, "wb") as fh:
         fh.write((",".join(log.columns()) + "\n").encode())
-        # At BLOCK rows each per-value temporary of format_rows (8 bytes a
-        # value, about 10 values a row) stays under glibc's 128 KiB mmap
-        # threshold and is reused from the heap. With 2048-row blocks they
-        # were mapped and page-faulted afresh on every block: about 0.4 s
-        # more per 50-MB log.
-        for r0 in range(0, len(log), BLOCK):
-            fh.write(format_rows(log.as_matrix(slice(r0, r0 + BLOCK)), precision))
+        # Sized so that format_rows' temporaries come from the heap whatever
+        # earlier frees did to glibc's threshold; fixed 1024-row blocks were
+        # mapped and faulted in afresh on every block unless a larger free
+        # had raised it, about 0.3 s more per 300 001-row log.
+        step = block_rows(len(log.columns()), precision)
+        for r0 in range(0, len(log), step):
+            fh.write(format_rows(log.as_matrix(slice(r0, r0 + step)), precision))
+
+
+# ---------------------------------------------------------------------------
+# Passes over a finished log
+#
+# Each pass walks the log in CHUNK-row slices and carries a few scalars
+# across chunk edges, so that it allocates no temporary the size of the log:
+# a command holds the log and O(CHUNK) scratch. At 8192 rows each float64
+# temporary takes 64 KiB, under glibc's 128 KiB mmap threshold, so it is
+# reused from the heap rather than mapped and faulted in afresh.
+
+CHUNK = 8 * BLOCK
+
+
+def _chunks(start, stop):
+    """(c0, c1) bounds of consecutive CHUNK-row slices of rows [start, stop)."""
+    for c0 in range(start, stop, CHUNK):
+        yield c0, min(c0 + CHUNK, stop)
+
+
+def _first_dwell(s, limit, width):
+    """First row from which |s| <= limit holds on `width` consecutive rows,
+    or None. Carries the first row of the current in-limit run."""
+    start = 0
+    for c0, c1 in _chunks(0, len(s)):
+        breaks = c0 + np.flatnonzero(~(np.abs(s[c0:c1]) <= limit))
+        starts = np.concatenate(([start], breaks + 1))
+        runs = np.append(breaks, c1) - starts  # in-limit run lengths, the last still open
+        long = np.flatnonzero(runs >= width)
+        if long.size:
+            return int(starts[long[0]])
+        start = int(starts[-1])
+    return None
+
+
+def _band_entry(s, eta):
+    """(first row with |s| < eta, max |s| from that row on), or (None, None)."""
+    first, peak = None, -math.inf
+    for c0, c1 in _chunks(0, len(s)):
+        a = np.abs(s[c0:c1])
+        if first is None:
+            inside = np.flatnonzero(a < eta)
+            if not inside.size:
+                continue
+            first = c0 + int(inside[0])
+            a = a[inside[0]:]
+        peak = np.maximum(peak, a.max())
+    return first, None if first is None else float(peak)
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +363,13 @@ def compute_metrics(log: TrajectoryLog, phi: Optional[float]) -> RunMetrics:
     2*eta for at least 0.5 s; the chattering index is the total variation of
     u per second over the final quarter of the horizon. phi supplies the band
     yardstick; without one (controllers with no layer width) the band-relative
-    fields are None.
+    fields are None. The steady statistics and the chattering sum each reduce
+    one quarter-window array at once: numpy sums pairwise, so a sum of chunk
+    sums would round differently. The band searches walk the log in chunks.
     """
     n = len(log)
     dt = log.dt
     i0 = steady_window(n)
-    a = np.abs(log.s)
 
     reach = None
     overshoot = None
@@ -320,23 +378,20 @@ def compute_metrics(log: TrajectoryLog, phi: Optional[float]) -> RunMetrics:
         sustain = int(round(0.5 / dt))
         if sustain < 1 or sustain > n - 1:
             raise InsufficientDataError("horizon too short to certify a 0.5 s band dwell")
-        ok = (a <= 2.0 * eta).astype(np.int64)
-        csum = np.concatenate(([0], np.cumsum(ok)))
-        width = sustain + 1
-        full = csum[width:] - csum[:-width] == width
-        hits = np.flatnonzero(full)
-        reach = float(hits[0] * dt) if hits.size else None
+        first = _first_dwell(log.s, 2.0 * eta, sustain + 1)
+        reach = None if first is None else float(first * dt)
+        overshoot = _band_entry(log.s, eta)[1]
 
-        inside = np.flatnonzero(a < eta)
-        overshoot = float(np.max(a[inside[0]:])) if inside.size else None
-
-    du = np.abs(np.diff(log.u[i0:]))
-    chat = float(du.sum() / ((n - i0 - 1) * dt))
+    tail = np.abs(log.s[i0:])
+    steady_mean, steady_max = float(np.mean(tail)), float(np.max(tail))
+    del tail  # one quarter-window array at a time
+    du = np.diff(log.u[i0:])
+    chat = float(np.abs(du, out=du).sum() / ((n - i0 - 1) * dt))
 
     return RunMetrics(
         reach_time_to_band=reach,
-        steady_band_mean=float(np.mean(a[i0:])),
-        steady_band_max=float(np.max(a[i0:])),
+        steady_band_mean=steady_mean,
+        steady_band_max=steady_max,
         chattering_index=chat,
         max_gain=float(np.max(log.gain)),
         overshoot_into_band=overshoot,
@@ -349,14 +404,11 @@ def compute_metrics(log: TrajectoryLog, phi: Optional[float]) -> RunMetrics:
 
 @dataclass
 class LyapunovTrace:
-    """Interior-row Lyapunov diagnostics: discrete V-dot against the
-    certificate -k*|s|*shape(s), with a truncation-based slack."""
+    """Interior-row Lyapunov diagnostics: ``checked`` marks the rows 1..n-2
+    with |s| >= eta; ``violations`` lists the checked rows whose discrete
+    V-dot exceeds the certificate plus slack, ``isolated_violations`` those
+    of them that are not within one sample of an eta-crossing."""
 
-    rows: np.ndarray
-    V: np.ndarray
-    vdot: np.ndarray
-    bound: np.ndarray
-    slack: np.ndarray
     checked: np.ndarray
     violations: np.ndarray
     isolated_violations: np.ndarray
@@ -368,6 +420,13 @@ def lyapunov_value(s, gain, mu, rho, phi):
     return a * (a - phi) / (a + phi) + 0.5 * rho * e * e
 
 
+def lyapunov_decay_bound(a, phi, k):
+    """The certificate -k*|s|*shape(s) on V-dot at |s| = a, where
+    shape(s) = 1 - 2*phi**2/(|s| + phi)**2 vanishes at |s| = eta."""
+    t = a + phi
+    return -k * a * (1.0 - 2.0 * phi * phi / (t * t))
+
+
 def lyapunov_trace(log: TrajectoryLog, mu, rho, phi, k) -> LyapunovTrace:
     """Check discrete V-dot <= -k*|s|*shape(s) + slack on rows with |s| >= eta.
 
@@ -375,31 +434,30 @@ def lyapunov_trace(log: TrajectoryLog, mu, rho, phi, k) -> LyapunovTrace:
     1e-9, scales with the local truncation of that estimate and swells near
     switching instants, where a discrete derivative cannot certify the
     continuous inequality. Violating rows are additionally classified by
-    whether |s| crosses eta within one sample.
+    whether |s| crosses eta within one sample. Each chunk of interior rows
+    reads one row more on either side for the differences.
     """
     n = len(log)
     if n < 3:
         raise InsufficientDataError("need at least 3 rows for central differences")
     dt = log.dt
-    V = lyapunov_value(log.s, log.gain, mu, rho, phi)
-    a = np.abs(log.s)
     eta = ultimate_band(phi)
-
-    vdot = (V[2:] - V[:-2]) / (2.0 * dt)
-    slack = 10.0 * np.abs(V[2:] - 2.0 * V[1:-1] + V[:-2]) / dt + 1e-9
-    t_mid = a[1:-1] + phi
-    shape_mid = 1.0 - 2.0 * phi * phi / (t_mid * t_mid)
-    bound = -k * a[1:-1] * shape_mid
-
-    rows = np.arange(1, n - 1)
-    checked = a[1:-1] >= eta
-    bad = checked & (vdot > bound + slack)
-
-    crossing = (a[:-1] - eta) * (a[1:] - eta) <= 0.0
-    near = crossing[:-1] | crossing[1:]  # within one sample of an eta-crossing
-    violations = rows[bad]
-    isolated = rows[bad & ~near]
-    return LyapunovTrace(rows, V, vdot, bound, slack, checked, violations, isolated)
+    checked = np.empty(n - 2, dtype=bool)
+    violations, isolated = [], []
+    for c0, c1 in _chunks(1, n - 1):
+        s = log.s[c0 - 1:c1 + 1]
+        V = lyapunov_value(s, log.gain[c0 - 1:c1 + 1], mu, rho, phi)
+        a = np.abs(s)
+        vdot = (V[2:] - V[:-2]) / (2.0 * dt)
+        slack = 10.0 * np.abs(V[2:] - 2.0 * V[1:-1] + V[:-2]) / dt + 1e-9
+        ok = checked[c0 - 1:c1 - 1]
+        np.greater_equal(a[1:-1], eta, out=ok)
+        bad = ok & (vdot > lyapunov_decay_bound(a[1:-1], phi, k) + slack)
+        crossing = (a[:-1] - eta) * (a[1:] - eta) <= 0.0
+        near = crossing[:-1] | crossing[1:]  # within one sample of an eta-crossing
+        violations.append(c0 + np.flatnonzero(bad))
+        isolated.append(c0 + np.flatnonzero(bad & ~near))
+    return LyapunovTrace(checked, np.concatenate(violations), np.concatenate(isolated))
 
 
 @dataclass
@@ -422,13 +480,17 @@ def verify_ultimate_bound(log: TrajectoryLog, k, rho, mu, b, tol=0.05) -> Ultima
     (v0 > sigma/k and sigma/k < b < v0); the inequality is still measured
     whenever the T formula is defined, since the certificate may hold outside
     its sufficient conditions. sigma, sigma/k and T come from
-    core._certificate; a negative T (b above v0) counts as 0.
+    core._certificate; a negative T (b above v0) counts as 0. The rows from
+    T on start at the first t >= T, found by bisection on the ascending t.
     """
     if k <= 0.0 or rho <= 0.0:
         return UltimateBoundCheck(False, None, None, math.nan, math.nan, b,
                                   None, None, "k and rho must be positive")
-    vprime = np.abs(log.s) + log.gain / k
-    v0 = float(vprime[0])
+
+    def vprime(c0, c1):
+        return np.abs(log.s[c0:c1]) + log.gain[c0:c1] / k
+
+    v0 = float(vprime(0, 1)[0])
     sigma, floor, _, T = core._certificate(mu, rho, k, v0, b)
     applicable = v0 > floor and floor < b < v0
     reason = "" if applicable else (
@@ -439,16 +501,20 @@ def verify_ultimate_bound(log: TrajectoryLog, k, rho, mu, b, tol=0.05) -> Ultima
         return UltimateBoundCheck(applicable, None, None, sigma, v0, b, None, None,
                                   reason or "reach-time formula undefined for this b")
     T = T if T > 0.0 else 0.0  # b above v0: bounded from the start
-    after = vprime[log.t >= T]
-    if after.size == 0:
+    i0 = int(np.searchsorted(log.t, T))
+    if i0 == len(log):
         return UltimateBoundCheck(applicable, None, T, sigma, v0, b, None, None,
                                   reason or "horizon ends before T")
     limit = b * (1.0 + tol)
-    bad = np.flatnonzero(after > limit)
-    t_after = log.t[log.t >= T]
-    first = float(t_after[bad[0]]) if bad.size else None
-    return UltimateBoundCheck(applicable, bad.size == 0, T, sigma, v0, b,
-                              float(np.max(after)), first, reason)
+    first, peak = None, -math.inf
+    for c0, c1 in _chunks(i0, len(log)):
+        vp = vprime(c0, c1)
+        peak = np.maximum(peak, vp.max())
+        if first is None:
+            bad = np.flatnonzero(vp > limit)
+            first = float(log.t[c0 + bad[0]]) if bad.size else None
+    return UltimateBoundCheck(applicable, first is None, T, sigma, v0, b,
+                              float(peak), first, reason)
 
 
 @dataclass
@@ -466,14 +532,10 @@ def verify_band_excursion(log: TrajectoryLog, m, delta, phi, tol=0.05) -> Excurs
     if not (math.isfinite(m) and math.isfinite(delta)):
         return ExcursionBoundCheck(False, None, None, None, delta,
                                    "no feasible oscillator stiffness m")
-    eta = ultimate_band(phi)
-    a = np.abs(log.s)
-    inside = np.flatnonzero(a < eta)
-    if inside.size == 0:
+    i1, exc = _band_entry(log.s, ultimate_band(phi))
+    if i1 is None:
         return ExcursionBoundCheck(False, None, None, None, delta,
                                    "trajectory never reached the band within the horizon")
-    i1 = int(inside[0])
-    exc = float(np.max(a[i1:]))
     return ExcursionBoundCheck(True, exc < delta * (1.0 + tol), float(log.t[i1]), exc, delta)
 
 

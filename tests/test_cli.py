@@ -154,6 +154,18 @@ class TestRun:
         assert f"{row_count(float(argv[3]), 1e-4)} rows" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("substeps", [10**400, 10**300], ids=["1e400", "1e300"])
+    def test_substeps_beyond_float_range_exits_2(self, tmp_path, capsys, substeps):
+        # dt/10**400 has no float value, and numpy refuses np.arange(10**300)
+        # by its size limit before allocating anything.
+        cfg = load_config(preset_path("regulation-smooth"))
+        cfg["integration"].update(substeps=substeps, t_end=0.001)
+        out = tmp_path / "out"
+        assert main(["run", write_scenario(tmp_path, cfg), "--out", str(out)]) == 2
+        assert "substeps" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCompare:
     def test_shared_scenario_table(self, tmp_path, capsys):
         files = []
@@ -216,7 +228,11 @@ class TestVerify:
         path = short_smooth(tmp_path, t_end=0.0002, k=1e-200, rho=1e-200)
         with np.errstate(all="ignore"):
             assert main(["verify", path]) == 0
-        assert "sigma = inf" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "sigma = inf" in out
+        # k > 0: the check is inapplicable because sigma and b are inf, not because k = 0.
+        assert ("ultimate-bound check: not applicable (sigma = inf, b = inf: not finite at "
+                "k*rho = 0)\n") in out
 
     def test_tracking_has_no_bound(self, tmp_path, capsys):
         cfg = load_config(preset_path("tracking"))

@@ -1,5 +1,6 @@
 """Config fuzz: a mutated preset builds into a Scenario or fails with a
-ConfigError, never with another exception.
+ConfigError, never with another exception; and the explicit examples, run
+through the CLI, never exit 1.
 
 Mutations drop a field, retype or replace a value, or swap a kind, anywhere
 in the nested dict. Scenarios are only built, never run. The custom_table
@@ -8,6 +9,7 @@ can substitute is a relative name inside it.
 """
 
 import copy
+import json
 import warnings
 
 import pytest
@@ -15,6 +17,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from smcsim.cli import main  # noqa: E402
 from smcsim.config import build_scenario, list_presets, load_config, preset_path  # noqa: E402
 from smcsim.errors import ConfigError  # noqa: E402
 from smcsim.sim import Scenario  # noqa: E402
@@ -82,9 +85,17 @@ def _with(name, section, **fields):
     return cfg
 
 
-SCHEDULE_OVERFLOW = _with("regulation-square", "uncertainty",
-                          amplitudes=[[0.0, 1.0], [1e306, 1.0]])
-HUGE_HORIZON = _with("regulation-square", "integration", t_end=1e20)
+# Inputs that once ended in a traceback.
+EXAMPLES = [
+    _with("regulation-square", "uncertainty", amplitudes=[[0.0, 1.0], [1e306, 1.0]]),
+    _with("regulation-square", "integration", t_end=1e20),
+    _with("regulation-smooth", "integration", t_end=10**400),
+    _with("regulation-smooth", "integration", substeps=True),
+    _with("regulation-square", "integration", dt=1e-320),
+    _with("table", "uncertainty", path="a\x00b"),
+    _with("table", "integration", t_end=2000.0),
+    _with("regulation-smooth", "integration", substeps=10**400, t_end=0.001),
+]
 
 
 @pytest.fixture(scope="module")
@@ -96,13 +107,6 @@ def table_dir(tmp_path_factory):
 
 @settings(max_examples=300, deadline=None)
 @given(cfg=mutated_configs())
-@example(cfg=SCHEDULE_OVERFLOW)
-@example(cfg=HUGE_HORIZON)
-@example(cfg=_with("regulation-smooth", "integration", t_end=10**400))
-@example(cfg=_with("regulation-smooth", "integration", substeps=True))
-@example(cfg=_with("regulation-square", "integration", dt=1e-320))
-@example(cfg=_with("table", "uncertainty", path="a\x00b"))
-@example(cfg=_with("table", "integration", t_end=2000.0))
 def test_mutated_config_builds_or_raises_config_error(table_dir, cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -111,3 +115,21 @@ def test_mutated_config_builds_or_raises_config_error(table_dir, cfg):
         except ConfigError:
             return
     assert isinstance(scenario, Scenario)
+
+
+for _cfg in EXAMPLES:
+    test_mutated_config_builds_or_raises_config_error = example(cfg=_cfg)(
+        test_mutated_config_builds_or_raises_config_error)
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("cfg", EXAMPLES)
+def test_no_command_exits_1(tmp_path, capsys, command, cfg):
+    # Exit 1 is a traceback: every input must end in 0, 2 (config) or 3 (divergence).
+    (tmp_path / "wave.csv").write_text("0.0,0.5\n1000.0,-0.5\n")
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    argv = [command, str(path)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(argv) in (0, 2, 3)

@@ -137,12 +137,19 @@ class TestPlestan:
         _, _, gain_rate = ctl.step(s, 0.0, 1.0, DT)
         assert gain_rate == -3000.0 * abs(s)
 
-    def test_frozen_at_floor(self):
-        p = plestan_params()
+    def test_reaches_floor_and_leaves_it(self):
+        # Plestan et al. (2010): K_dot = kappa at K <= kappa, so the floor
+        # does not latch. Inside epsilon the gain shrinks onto the floor.
+        p = plestan_params(K0=0.011)
         ctl = PlestanAdaptiveSMC(p)
-        ctl.K = p.kappa
-        _, _, gain_rate = ctl.step(0.5, 0.0, 1.0, DT)
-        assert gain_rate == 0.0
+        for _ in range(100):
+            ctl.step(0.001, 0.0, 1.0, DT)
+            if ctl.K == p.kappa:
+                break
+        assert ctl.K == p.kappa
+        _, gain, gain_rate = ctl.step(0.001, 0.0, 1.0, DT)
+        assert (gain, gain_rate) == (p.kappa, p.kappa)
+        assert ctl.K == p.kappa + DT * p.kappa
 
     def test_gain_never_below_floor(self):
         p = plestan_params(K0=0.011)

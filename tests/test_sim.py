@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from smcsim.sim import (
     Scenario,
     TrajectoryLog,
     compute_metrics,
+    lyapunov_decay_bound,
     lyapunov_trace,
     row_count,
     run_scenario,
@@ -269,15 +271,43 @@ class TestLyapunovTrace:
 
     def test_bound_is_zero_at_band_edge(self):
         eta = ultimate_band(0.01)
-        s = np.array([eta, eta, eta, eta, eta])
-        log = synthetic_log(np.zeros(5), s=s, dt=1e-3)
-        tr = lyapunov_trace(log, mu=1.0, rho=1.0, phi=0.01, k=2.0)
-        assert np.all(np.abs(tr.bound) < 1e-14)
+        bound = lyapunov_decay_bound(np.full(5, eta), phi=0.01, k=2.0)
+        assert np.all(np.abs(bound) < 1e-14)
 
     def test_needs_three_rows(self):
         log = synthetic_log(np.zeros(2), dt=1e-3)
         with pytest.raises(InsufficientDataError):
             lyapunov_trace(log, 1.0, 1.0, 0.01, 2.0)
+
+
+class TestPostProcessingMemory:
+    def test_passes_allocate_less_than_one_column(self):
+        # Each pass walks the log in chunks: its traced peak (numpy reports
+        # its buffers to tracemalloc) stays below one column of the log.
+        n = 200_001
+        rng = np.random.default_rng(0)
+        s = 0.02 * np.sin(np.arange(n) * 1e-3) + 1e-3 * rng.standard_normal(n)
+        log = synthetic_log(rng.standard_normal(n), s=s, dt=1e-4)
+        log.gain = 1.0 + rng.random(n)
+        ob = overshoot_bound(2.3, 1.0, 0.01)
+        passes = {
+            "compute_metrics": lambda: compute_metrics(log, 0.01),
+            "lyapunov_trace": lambda: lyapunov_trace(log, 2.3, 1.0, 0.01, 2.0),
+            "verify_ultimate_bound": lambda: verify_ultimate_bound(log, 2.0, 1.0, 2.3, 0.6),
+            "verify_band_excursion": lambda: verify_band_excursion(log, ob.m, ob.delta, 0.01),
+        }
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for name, run in passes.items():
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                result = run()
+                peaks[name] = tracemalloc.get_traced_memory()[1] - base
+                del result
+        finally:
+            tracemalloc.stop()
+        assert all(peak < n * 8 for peak in peaks.values()), peaks
 
 
 class TestUltimateBound:
