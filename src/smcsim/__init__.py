@@ -13,7 +13,6 @@ from .core import (  # noqa: F401
     sat,
     sgn,
     ultimate_band,
-    worst_case_response,
 )
 from .controllers import (  # noqa: F401
     BoundaryLayerSMC,
@@ -31,7 +30,6 @@ from .plants import (  # noqa: F401
     RegulationPlant,
     SineReference,
     SquareSignal,
-    SurfaceEval,
     TableSignal,
     TrackingPlant,
     verify_signal_bound,
@@ -46,6 +44,5 @@ from .sim import (  # noqa: F401
     run_scenario,
     verify_ultimate_bound,
     verify_band_excursion,
-    worst_case_run,
     write_csv,
 )

@@ -45,13 +45,8 @@ def _fmt(v):
 
 
 def _metrics_lines(name, metrics):
-    d = metrics.as_dict()
-    lines = [f"metrics for {name}:"]
-    for key in ("reach_time_to_band", "steady_band_mean", "steady_band_max",
-                "chattering_index", "max_gain", "overshoot_into_band",
-                "ultimate_bound_satisfied"):
-        lines.append(f"  {key:<22} {_fmt(d[key])}")
-    return lines
+    return [f"metrics for {name}:"] + [f"  {key:<22} {_fmt(value)}"
+                                       for key, value in metrics.as_dict().items()]
 
 
 def _write_outputs(out_dir, name, log, metrics, precision, extra=None):

@@ -6,8 +6,12 @@ input gain of the s-dynamics, and dt the controller sample period. The
 returned u is held constant until the next sample (zero-order hold). The
 sample is computed from the controller state at the sample instant; adaptive
 states then advance once per call. One instance must not be stepped
-concurrently, but distinct instances are independent. Steps take the sign of
-s unchecked: s must be finite, which the runner checks before each step.
+concurrently, but distinct instances are independent.
+
+A step checks nothing. s finite, g != 0 and 0 < dt < inf are the caller's
+duty, and ``sim.run_scenario`` guarantees them: ``IntegrationSettings``
+validates dt once, and the runner checks s and g before each step.
+Parameters are validated once, when a controller is built.
 
 Only the delta-adaptive law uses h and g; the switching baselines
 (u = -K*sgn(s) variants) ignore them, matching their published forms.
@@ -17,19 +21,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .core import _adaptation_shape, _require_positive, _sat, _sign, ultimate_band
-from .errors import ControllabilityError, ParameterError, TuningWarning
-
-
-# Steps test ``0.0 < dt < _INF`` inline and call _check_dt only to raise,
-# which saves a call per step; the test admits exactly the dt that _check_dt
-# admits (NaN fails both).
-_INF = math.inf
-
-
-def _check_dt(dt):
-    if dt <= 0.0 or not math.isfinite(dt):
-        raise ParameterError(f"dt must be positive and finite, got {dt!r}")
+from .core import _require_positive, adaptation_shape, sat, sgn, ultimate_band
+from .errors import ParameterError, TuningWarning
 
 
 @dataclass(frozen=True)
@@ -50,9 +43,7 @@ class DeltaAdaptiveParams:
 
     def __post_init__(self):
         for name in ("phi", "rho", "mu_hat0"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0.0:
-                raise ParameterError(f"{name} must be positive and finite, got {v!r}")
+            _require_positive(name, getattr(self, name))
         if not math.isfinite(self.k) or self.k < 0.0:
             raise ParameterError(f"k must be finite and >= 0, got {self.k!r}")
         limit = 1.0 / ultimate_band(self.phi)
@@ -80,9 +71,7 @@ class UtkinParams:
 
     def __post_init__(self):
         for name in ("tau", "nu", "M", "K_plus", "epsilon", "K0"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0.0:
-                raise ParameterError(f"{name} must be positive and finite, got {v!r}")
+            _require_positive(name, getattr(self, name))
         if not (0.0 < self.alpha < 1.0):
             raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if not self.M > self.nu * self.K_plus:
@@ -107,9 +96,7 @@ class PlestanParams:
 
     def __post_init__(self):
         for name in ("K_bar", "epsilon", "kappa", "K0"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0.0:
-                raise ParameterError(f"{name} must be positive and finite, got {v!r}")
+            _require_positive(name, getattr(self, name))
         if not self.K0 > self.kappa:
             raise ParameterError(
                 f"K0 = {self.K0!r} must exceed the floor kappa = {self.kappa!r}"
@@ -122,17 +109,14 @@ class ClassicalSMC:
     kind = "classical"
 
     def __init__(self, K: float):
-        if not math.isfinite(K) or K <= 0.0:
-            raise ParameterError(f"K must be positive and finite, got {K!r}")
+        _require_positive("K", K)
         self.K = K
 
     def reset(self):
         pass
 
     def step(self, s, h, g, dt):
-        if not 0.0 < dt < _INF:
-            _check_dt(dt)
-        return -self.K * _sign(s), self.K, 0.0
+        return -self.K * sgn(s), self.K, 0.0
 
 
 class BoundaryLayerSMC:
@@ -141,8 +125,7 @@ class BoundaryLayerSMC:
     kind = "boundary_layer"
 
     def __init__(self, K: float, phi: float):
-        if not math.isfinite(K) or K <= 0.0:
-            raise ParameterError(f"K must be positive and finite, got {K!r}")
+        _require_positive("K", K)
         _require_positive("phi", phi)
         self.K = K
         self.phi = phi
@@ -151,9 +134,7 @@ class BoundaryLayerSMC:
         pass
 
     def step(self, s, h, g, dt):
-        if not 0.0 < dt < _INF:
-            _check_dt(dt)
-        return -self.K * _sat(s, self.phi), self.K, 0.0
+        return -self.K * sat(s, self.phi), self.K, 0.0
 
 
 class UtkinAdaptiveSMC:
@@ -179,15 +160,13 @@ class UtkinAdaptiveSMC:
         self.K = self.params.K0
 
     def step(self, s, h, g, dt):
-        if not 0.0 < dt < _INF:
-            _check_dt(dt)
         p = self.params
         q = dt / p.tau
-        sign = _sign(s)
+        sign = sgn(s)
         self.z = (self.z + q * sign) / (1.0 + q)
         delta = abs(self.z) - p.alpha
         K = self.K
-        rate = p.nu * K * _sign(delta)
+        rate = p.nu * K * sgn(delta)
         if K - p.K_plus >= 0.0:
             rate -= p.M
         if p.epsilon - K >= 0.0:
@@ -210,14 +189,12 @@ class PlestanAdaptiveSMC:
         self.K = self.params.K0
 
     def step(self, s, h, g, dt):
-        if not 0.0 < dt < _INF:
-            _check_dt(dt)
         p = self.params
         K = self.K
-        rate = p.K_bar * abs(s) * _sign(abs(s) - p.epsilon) if K > p.kappa else p.kappa
+        rate = p.K_bar * abs(s) * sgn(abs(s) - p.epsilon) if K > p.kappa else p.kappa
         K_next = K + dt * rate
         self.K = K_next if K_next > p.kappa else p.kappa
-        return -K * _sign(s), K, rate
+        return -K * sgn(s), K, rate
 
 
 class DeltaAdaptiveSMC:
@@ -239,14 +216,10 @@ class DeltaAdaptiveSMC:
         self.mu_hat = self.params.mu_hat0
 
     def step(self, s, h, g, dt):
-        if not 0.0 < dt < _INF:
-            _check_dt(dt)
-        if g == 0.0:
-            raise ControllabilityError("input gain g vanished; control undefined")
         p = self.params
         mu_hat = self.mu_hat
-        rate = _adaptation_shape(s, p.phi) / p.rho
-        u = -(h + p.k * s + mu_hat * _sign(s)) / g
+        rate = adaptation_shape(s, p.phi) / p.rho
+        u = -(h + p.k * s + mu_hat * sgn(s)) / g
         nxt = mu_hat + dt * rate
         self.mu_hat = nxt if nxt > 0.0 else 0.0
         return u, mu_hat, rate

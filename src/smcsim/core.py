@@ -12,14 +12,16 @@ and its derivative in s, the adaptation shape function
 which is -1 at s = 0, crosses zero at |s| = eta = (sqrt(2) - 1)*phi and
 approaches 1 from below as |s| grows. The gain-adaptation law scales this
 shape by 1/rho, so the band |s| = eta is where the adaptive gain neither
-grows nor shrinks.
+grows nor shrinks. sgn, sat, delta_surface and adaptation_shape check
+nothing: their parameters are validated once where they are built, and the
+runner checks s before each step.
 """
 
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError, ParameterError, PreconditionError
+from .errors import ParameterError, PreconditionError
 
 # (sqrt(2) - 1): ratio between the ultimate band eta and the layer width phi.
 BAND_RATIO = math.sqrt(2.0) - 1.0
@@ -31,15 +33,11 @@ def _require_positive(name, value):
 
 
 def sgn(s: float) -> int:
-    """Three-valued signum: 1 for s > 0, -1 for s < 0, 0 for s = 0."""
-    if not math.isfinite(s):
-        raise DomainError(f"sgn requires a finite input, got {s!r}")
-    return _sign(s)
+    """Three-valued signum: 1 for s > 0, -1 for s < 0, 0 for s = 0.
 
-
-def _sign(s: float) -> int:
-    """sgn without the finiteness check, for a caller that checked s (the
-    controllers' per-step path: the runner checks s before each step)."""
+    Unchecked, like sat below: both branch on one float, the controllers'
+    per-step path, and leave finiteness to the caller (NaN maps to 0).
+    """
     if s > 0.0:
         return 1
     if s < 0.0:
@@ -48,14 +46,8 @@ def _sign(s: float) -> int:
 
 
 def sat(s: float, phi: float) -> float:
-    """Linear saturation of s/phi, clamped to [-1, 1]."""
-    _require_positive("phi", phi)
-    return _sat(s, phi)
-
-
-def _sat(s: float, phi: float) -> float:
-    """sat without the check on phi, for a caller that validated phi once
-    (the boundary-layer controller's per-step path)."""
+    """Linear saturation of s/phi, clamped to [-1, 1]; phi > 0 is the
+    caller's duty (the boundary-layer controller checks it once)."""
     r = s / phi
     if r > 1.0:
         return 1.0
@@ -64,32 +56,26 @@ def _sat(s: float, phi: float) -> float:
     return r
 
 
-def delta_surface(s: float, phi: float) -> float:
+def delta_surface(s, phi):
     """Signed distance-like measure of s relative to the boundary layer.
 
     Vanishes at s = 0 and |s| = phi, tends to s - 2*phi*sgn(s) far outside
     the layer, and is odd in s. Written as s*(|s| - phi)/(|s| + phi) so the
-    zeros at |s| = phi are exact in floating point.
+    zeros at |s| = phi are exact in floating point. s is a float or a numpy
+    array; phi > 0 is the caller's duty.
     """
-    _require_positive("phi", phi)
     a = abs(s)
     return s * (a - phi) / (a + phi)
 
 
-def adaptation_shape(s: float, phi: float) -> float:
+def adaptation_shape(s, phi):
     """Derivative of delta_surface in s; the gain-adaptation rate shape.
 
     Even in s, equals -1 at s = 0, crosses zero at |s| = (sqrt(2)-1)*phi and
     stays within [-1, 1] for every finite s (the upper bound is approached,
-    never exceeded).
+    never exceeded). s is a float or a numpy array; phi > 0 is the caller's
+    duty.
     """
-    _require_positive("phi", phi)
-    return _adaptation_shape(s, phi)
-
-
-def _adaptation_shape(s: float, phi: float) -> float:
-    """adaptation_shape without the check on phi, for a caller that validated
-    phi once (the controller's per-step path)."""
     t = abs(s) + phi
     return 1.0 - 2.0 * phi * phi / (t * t)
 
@@ -181,17 +167,6 @@ def overshoot_bound(mu, rho, phi, tol: float = 1e-10) -> OvershootBound:
         return OvershootBound(math.nan, math.nan, False)
     delta = math.sqrt((2.0 * eta) ** 2 + mu * mu / lo) - eta
     return OvershootBound(lo, delta, True)
-
-
-def worst_case_response(t, s0, mu, mu_hat0, m, eta) -> float:
-    """Closed-form worst-case trajectory of s under the affine gain law.
-
-    s(t) = (s0 + eta)*cos(sqrt(m)*t) + ((mu - mu_hat0)/sqrt(m))*sin(sqrt(m)*t) - eta.
-    Its signed maximum over one period is sqrt((s0+eta)**2 + (mu-mu_hat0)**2/m) - eta.
-    """
-    _require_positive("m", m)
-    root = math.sqrt(m)
-    return (s0 + eta) * math.cos(root * t) + (mu - mu_hat0) / root * math.sin(root * t) - eta
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ Everything is deterministic; identical scenarios produce bit-identical logs.
 The log carries the two Lyapunov-style columns for delta-adaptive runs on
 plants with a declared uncertainty bound:
 
-    V      = sgn(s)*delta_surface(s, phi) + (rho/2)*(mu - gain)**2
+    V      = core.delta_surface(|s|, phi) + (rho/2)*(mu - gain)**2
     Vprime = |s| + gain/k        (0 when k = 0; the bound is then undefined)
 
 Both columns are 0 for the switching baselines, whose stability certificates
@@ -18,7 +18,7 @@ the s and gain columns.
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from typing import Optional
 
@@ -126,20 +126,24 @@ def row_count(t_end: float, dt: float) -> int:
 def run_scenario(scenario: Scenario) -> TrajectoryLog:
     """Simulate the closed loop and return the sampled trajectory.
 
-    Rows are processed BLOCK at a time. For each block the plant's
-    time inputs are evaluated once, vectorized, at the instants the loop
-    uses: the samples i*dt and, for substep j of length h = dt/substeps, the
-    RK4 start t_j = i*dt + j*h, midpoint t_j + 0.5*h and end t_j + h (the
-    last two through ``plant.stage_inputs``). Memory beyond the log
-    therefore stays bounded by the block. Each row is one ``plant.sample``
-    call and one controller step, each substep one ``plant.advance`` call;
-    all three return plain tuples.
+    Rows are processed max(1, BLOCK // substeps) at a time. For each block
+    the plant's time inputs are evaluated once, vectorized, at the instants
+    the loop uses: the samples i*dt and, for substep j of length
+    h = dt/substeps, the RK4 start t_j = i*dt + j*h, midpoint t_j + 0.5*h
+    and end t_j + h (the last two through ``plant.stage_inputs``). Each of
+    those three arrays then holds at most max(BLOCK, substeps) instants
+    (plus the final sample), so memory beyond the log stays bounded; inputs
+    that still do not fit raise ParameterError. Each row is one ``plant.sample`` call and one
+    controller step, each substep one ``plant.advance`` call; all three
+    return plain tuples.
 
     Raises SimulationDiverged when the state, the surface or the control
     leaves the finite range (the surface is checked before the controller
     sees it), or when the plant's math raises ValueError on an overflowed
     value; it carries the row and the last finite state. Raises
-    ControllabilityError when the surface reports g = 0.
+    ControllabilityError when the surface reports g = 0. These checks, and
+    IntegrationSettings' check of dt, are the whole of the controller step's
+    contract: steps check nothing themselves.
     """
     plant = scenario.plant
     controller = scenario.controller
@@ -148,6 +152,7 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     dt, substeps = st.dt, st.substeps
     n = row_count(st.t_end, dt)
     h = dt / substeps
+    rows_per_block = max(1, BLOCK // substeps)
     substep_range = range(substeps)
 
     inputs, stage_inputs, advance, sample = (
@@ -179,15 +184,19 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
         lyap = controller.params
     x1 = scenario.x0[0]
     x2 = scenario.x0[1] if plant.n_states > 1 else 0.0
-    for c0 in range(0, n, BLOCK):
-        c1 = min(c0 + BLOCK, n)
+    for c0 in range(0, n, rows_per_block):
+        c1 = min(c0 + rows_per_block, n)
         grid = t_arr[c0:c1]
         m = min(c1, n - 1) - c0  # rows that integrate on to the next sample
-        starts = (grid[:m, None] + offsets).ravel()
-        # w0 of substep 0 is the sample's input; the final row only samples.
-        w_start = inputs(np.concatenate((starts, grid[m:])))
-        w_mid = stage_inputs(starts + 0.5 * h)
-        w_end = stage_inputs(starts + h)
+        try:
+            starts = (grid[:m, None] + offsets).ravel()
+            # w0 of substep 0 is the sample's input; the final row only samples.
+            w_start = inputs(np.concatenate((starts, grid[m:])))
+            w_mid = stage_inputs(starts + 0.5 * h)
+            w_end = stage_inputs(starts + h)
+        except MemoryError as exc:
+            raise ParameterError(f"cannot allocate the inputs of {c1 - c0} rows at {substeps} "
+                                 f"substeps a row ({exc})") from None
         rows = []  # (x1, x2, s, u, gain, gain_rate, delta_f)
         k = 0
         try:
@@ -337,15 +346,7 @@ class RunMetrics:
     ultimate_bound_satisfied: Optional[bool] = None
 
     def as_dict(self):
-        return {
-            "reach_time_to_band": self.reach_time_to_band,
-            "steady_band_mean": self.steady_band_mean,
-            "steady_band_max": self.steady_band_max,
-            "chattering_index": self.chattering_index,
-            "max_gain": self.max_gain,
-            "overshoot_into_band": self.overshoot_into_band,
-            "ultimate_bound_satisfied": self.ultimate_bound_satisfied,
-        }
+        return asdict(self)
 
 
 def steady_window(n: int) -> int:
@@ -415,16 +416,15 @@ class LyapunovTrace:
 
 
 def lyapunov_value(s, gain, mu, rho, phi):
-    a = np.abs(np.asarray(s, dtype=float))
+    """V = core.delta_surface(|s|, phi) + (rho/2)*(mu - gain)**2, elementwise."""
     e = mu - np.asarray(gain, dtype=float)
-    return a * (a - phi) / (a + phi) + 0.5 * rho * e * e
+    return core.delta_surface(np.abs(s), phi) + 0.5 * rho * e * e
 
 
 def lyapunov_decay_bound(a, phi, k):
-    """The certificate -k*|s|*shape(s) on V-dot at |s| = a, where
-    shape(s) = 1 - 2*phi**2/(|s| + phi)**2 vanishes at |s| = eta."""
-    t = a + phi
-    return -k * a * (1.0 - 2.0 * phi * phi / (t * t))
+    """The certificate -k*|s|*core.adaptation_shape(|s|, phi) on V-dot at
+    |s| = a; it vanishes at |s| = eta."""
+    return -k * a * core.adaptation_shape(a, phi)
 
 
 def lyapunov_trace(log: TrajectoryLog, mu, rho, phi, k) -> LyapunovTrace:
@@ -537,44 +537,6 @@ def verify_band_excursion(log: TrajectoryLog, m, delta, phi, tol=0.05) -> Excurs
         return ExcursionBoundCheck(False, None, None, None, delta,
                                    "trajectory never reached the band within the horizon")
     return ExcursionBoundCheck(True, exc < delta * (1.0 + tol), float(log.t[i1]), exc, delta)
-
-
-# ---------------------------------------------------------------------------
-# Worst-case oscillator oracle
-
-
-def worst_case_run(s0, mu_hat0, mu, m, eta, dt=1e-4, t_end=None):
-    """Integrate the worst-case affine pair with RK4:
-
-        s_dot      = -mu_hat + mu
-        mu_hat_dot = m*(s + eta)
-
-    whose exact solution is core.worst_case_response (an oscillation of
-    frequency sqrt(m) centred on s = -eta). Defaults to one full period.
-    Returns (t, s, mu_hat) arrays.
-    """
-    if m <= 0.0 or not math.isfinite(m):
-        raise ParameterError(f"m must be positive and finite, got {m!r}")
-    if t_end is None:
-        t_end = 2.0 * math.pi / math.sqrt(m)
-    n = row_count(t_end, dt)
-    t = np.empty(n)
-    s_arr = np.empty(n)
-    g_arr = np.empty(n)
-
-    hh = 0.5 * dt
-    s, g = float(s0), float(mu_hat0)
-    for i in range(n):
-        t[i] = i * dt
-        s_arr[i], g_arr[i] = s, g
-        if i + 1 < n:
-            a1, b1 = -g + mu, m * (s + eta)
-            a2, b2 = -(g + hh * b1) + mu, m * (s + hh * a1 + eta)
-            a3, b3 = -(g + hh * b2) + mu, m * (s + hh * a2 + eta)
-            a4, b4 = -(g + dt * b3) + mu, m * (s + dt * a3 + eta)
-            s, g = (s + dt * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0,
-                    g + dt * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0)
-    return t, s_arr, g_arr
 
 
 def certificate_summary(mu, rho, phi, k, v0=None, b=None):

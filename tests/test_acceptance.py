@@ -23,9 +23,10 @@ from smcsim.core import (
     delta_surface,
     overshoot_bound,
     ultimate_band,
-    worst_case_response,
 )
-from smcsim.sim import compute_metrics, lyapunov_trace, worst_case_run
+from smcsim.sim import compute_metrics, lyapunov_trace
+
+from oracles import worst_case_response, worst_case_run
 
 SEED = 20240801
 

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -7,8 +8,9 @@ import pytest
 
 from smcsim.cli import main
 from smcsim.config import load_config, preset_path
-from smcsim.errors import TuningWarning
-from smcsim.sim import row_count
+from smcsim.errors import ParameterError, TuningWarning
+from smcsim.plants import RegulationPlant
+from smcsim.sim import IntegrationSettings, row_count
 
 
 def write_scenario(tmp_path, cfg, name="scenario.json"):
@@ -164,6 +166,29 @@ class TestRun:
         assert main(["run", write_scenario(tmp_path, cfg), "--out", str(out)]) == 2
         assert "substeps" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unallocatable_block_inputs_exit_2(self, tmp_path, capsys, monkeypatch):
+        # Stands in for a block whose RK4 instants do not fit in memory.
+        def refuse(self, t):
+            raise MemoryError
+
+        monkeypatch.setattr(RegulationPlant, "stage_inputs", refuse)
+        out = tmp_path / "out"
+        assert main(["run", "regulation-smooth", "--t-end", "0.01", "--out", str(out)]) == 2
+        assert "cannot allocate the inputs of 101 rows" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# dt is validated once, at the boundary: the controllers' steps take it as
+# given, so a bad dt must never reach them.
+@pytest.mark.parametrize("dt", [0.0, -1e-4, math.nan, math.inf, -math.inf])
+def test_bad_dt_rejected_at_the_boundary(tmp_path, capsys, dt):
+    with pytest.raises(ParameterError, match="dt must be positive and finite"):
+        IntegrationSettings(dt=dt)
+    out = tmp_path / "out"
+    assert main(["run", "regulation-smooth", f"--dt={dt!r}", "--out", str(out)]) == 2
+    assert "dt" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestCompare:

@@ -126,6 +126,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="finite"):
             build_scenario(cfg)
 
+    def test_repeated_square_start_time_rejected(self):
+        raw = load_config(preset_path("regulation-square"))
+        raw["uncertainty"]["amplitudes"].append(list(raw["uncertainty"]["amplitudes"][-1]))
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            build_scenario(raw)
+
     def test_bound_violation_rejected(self):
         cfg = smooth_config()
         cfg["uncertainty"]["bound"] = 1.0

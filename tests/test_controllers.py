@@ -13,8 +13,9 @@ from smcsim.controllers import (
     UtkinAdaptiveSMC,
     UtkinParams,
 )
+from smcsim.config import build_scenario, load_config, preset_path
 from smcsim.core import ultimate_band
-from smcsim.errors import ControllabilityError, ParameterError, TuningWarning
+from smcsim.errors import ConfigError, ParameterError, TuningWarning
 
 DT = 1e-4
 
@@ -120,8 +121,14 @@ class TestUtkin:
             assert abs(ctl.z) <= 1.0
 
     def test_bad_dt(self):
-        with pytest.raises(ParameterError):
-            UtkinAdaptiveSMC(utkin_params()).step(0.1, 0.0, 1.0, 0.0)
+        # The step takes dt as given. A zero dt is rejected when the scenario
+        # is built, and the default tau = 10*dt it would imply is rejected too.
+        cfg = load_config(preset_path("regulation-smooth-utkin"))
+        cfg["integration"]["dt"] = 0.0
+        with pytest.raises(ConfigError, match="dt must be positive and finite"):
+            build_scenario(cfg)
+        with pytest.raises(ParameterError, match="tau"):
+            utkin_params(tau=10.0 * 0.0)
 
 
 class TestPlestan:
@@ -190,11 +197,6 @@ class TestDeltaAdaptive:
         u, _, _ = ctl.step(0.0, 3.5, 2.0, DT)
         assert math.isclose(u, -3.5 / 2.0, rel_tol=1e-12)
 
-    def test_zero_g_rejected(self):
-        ctl = DeltaAdaptiveSMC(delta_params())
-        with pytest.raises(ControllabilityError):
-            ctl.step(0.1, 0.0, 0.0, DT)
-
     def test_gain_nonnegative_and_rate_bounded(self):
         rng = np.random.default_rng(13)
         for rho in (0.3, 0.7, 1.0, 2.5):
@@ -240,11 +242,30 @@ def test_step_returns_plain_tuple_of_three_floats(kind):
         assert all(type(v) is float for v in out), out
 
 
+PRESET_OF = {
+    "classical": "regulation-smooth-classical",
+    "boundary_layer": "regulation-smooth-boundary-layer",
+    "utkin": "regulation-smooth-utkin",
+    "plestan": "compare-smooth-plestan-fast",
+    "delta_adaptive": "regulation-smooth",
+}
+
+
+# The steps take dt as given: a bad dt is rejected when a scenario is built,
+# before any controller is made, so no step of any controller ever sees it.
 @pytest.mark.parametrize("dt", [0.0, -DT, math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("kind", sorted(ALL_CONTROLLERS))
-def test_every_step_rejects_bad_dt(kind, dt):
-    with pytest.raises(ParameterError, match="dt must be positive and finite"):
-        ALL_CONTROLLERS[kind]().step(0.1, 0.0, 1.0, dt)
+def test_every_step_rejects_bad_dt(kind, dt, monkeypatch):
+    cfg = load_config(preset_path(PRESET_OF[kind]))
+    assert cfg["controller"]["kind"] == kind
+    cfg["integration"]["dt"] = dt
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{kind} controller built with dt = {dt!r}")
+
+    monkeypatch.setattr(type(ALL_CONTROLLERS[kind]()), "__init__", never)
+    with pytest.raises(ConfigError, match=r"integration(\.dt: must be finite|: dt must be positive and finite)"):
+        build_scenario(cfg)
 
 
 class TestDeterminism:

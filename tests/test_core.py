@@ -13,9 +13,10 @@ from smcsim.core import (
     sat,
     sgn,
     ultimate_band,
-    worst_case_response,
 )
-from smcsim.errors import DomainError, ParameterError, PreconditionError
+from smcsim.errors import ParameterError, PreconditionError
+
+from oracles import worst_case_response
 
 RNG_SEED = 20260810
 
@@ -30,11 +31,6 @@ class TestSgn:
     def test_tiny_negative(self):
         assert sgn(-1e-30) == -1
 
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(DomainError):
-            sgn(bad)
-
 
 class TestSat:
     def test_interior_is_linear(self):
@@ -45,11 +41,6 @@ class TestSat:
 
     def test_clamps_low_odd(self):
         assert sat(-0.03, 0.01) == -1.0
-
-    @pytest.mark.parametrize("phi", [0.0, -0.01])
-    def test_bad_phi(self, phi):
-        with pytest.raises(ParameterError):
-            sat(0.1, phi)
 
 
 class TestDeltaSurface:
@@ -72,9 +63,11 @@ class TestDeltaSurface:
         phi = 0.01
         assert math.isclose(delta_surface(100.0, phi), 100.0 - 2 * phi, rel_tol=1e-6)
 
-    def test_bad_phi(self):
-        with pytest.raises(ParameterError):
-            delta_surface(0.1, -1.0)
+    def test_array_matches_scalar(self):
+        # one definition serves the controllers (floats) and the log (arrays)
+        s = np.linspace(-0.05, 0.05, 101)
+        for f in (delta_surface, adaptation_shape):
+            assert np.array_equal(f(s, 0.01), [f(float(v), 0.01) for v in s])
 
 
 class TestAdaptationShape:

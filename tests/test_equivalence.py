@@ -1,8 +1,8 @@
 """The block-vectorized runner against a plain per-row reference loop.
 
-The reference integrates through the public per-time methods
-(``controller.step``, ``plant.deriv``, ``plant.uncertainty``) with a tuple
-RK4, evaluating every signal at each instant as it goes; ``run_scenario``
+The reference integrates through the per-time methods (``controller.step``,
+``plant.sample`` and ``plant.deriv``, each fed ``plant.inputs`` at one
+instant) with a tuple RK4, evaluating every signal at each instant as it goes; ``run_scenario``
 must reproduce every log column bit for bit. Each plant's inlined
 ``advance`` must also equal a generic RK4 step over its ``rhs``. The signal tests compare each
 vectorized ``values(t)`` with its closed form written with the math module,
@@ -73,11 +73,12 @@ def reference_run(scenario):
     x = scenario.x0
     for i in range(n):
         t = i * dt
-        s, hdrift, g = plant.surface(x, t)
+        x1, x2 = x if len(x) > 1 else (x[0], 0.0)
+        s, hdrift, g, delta_f = plant.sample(x1, x2, plant.inputs([t])[0])
         u, gain, rate = controller.step(s, hdrift, g, dt)
         out["t"][i], out["x"][i] = t, x
         out["s"][i], out["u"][i], out["gain"][i], out["gain_rate"][i] = s, u, gain, rate
-        out["delta_f"][i] = plant.uncertainty(x, t)
+        out["delta_f"][i] = delta_f
         if lyap is not None:
             phi, rho, k, mu = lyap
             a = abs(s)

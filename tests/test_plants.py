@@ -28,6 +28,12 @@ def smooth_signal():
     return MultiSineSignal([1.5, 0.8], [0.1, 0.13], [0.0, 1.0], 2.3)
 
 
+def sample(plant, x, t):
+    """(s, h, g, delta_f) at the state tuple x and the instant t, through the
+    per-row call the runner makes."""
+    return plant.sample(x[0], x[1] if len(x) > 1 else 0.0, plant.inputs([t])[0])
+
+
 class TestSignals:
     def test_multi_sine_zero_phase_at_origin(self):
         assert MultiSineSignal([1.0, 2.0], [0.5, 1.3], [0.0, 0.0], 3.0).value(0.0) == 0.0
@@ -54,6 +60,11 @@ class TestSignals:
             SquareSignal(2.5, [(1.0, 2.0)], 2.0)  # must start at 0
         with pytest.raises(ParameterError):
             SquareSignal(-1.0, [(0.0, 2.0)], 2.0)
+
+    def test_square_rejects_repeated_start_times(self):
+        # Only the last of two entries at t = 2 could ever apply.
+        with pytest.raises(ParameterError, match="strictly increasing"):
+            SquareSignal(0.5, [(0.0, 1.0), (2.0, 0.5), (2.0, 1.5)], 2.0)
 
     def test_table_interpolation(self):
         sig = TableSignal([0.0, 1.0, 3.0], [0.0, 2.0, -2.0], 2.0)
@@ -114,14 +125,14 @@ class TestRegulationPlant:
         rng = np.random.default_rng(3)
         for _ in range(200):
             x, t, u = rng.uniform(-2, 2), rng.uniform(0, 30), rng.uniform(-5, 5)
-            df = plant.uncertainty((x,), t)
+            df = sample(plant, (x,), t)[3]
             assert plant.deriv((x,), t, u)[0] == df + u
 
     def test_surface(self):
         plant = RegulationPlant(zero_signal())
-        assert plant.surface((1.0,), 0.0) == (1.0, 0.0, 1.0)
-        assert plant.surface((0.0,), 3.0).s == 0.0
-        assert plant.surface((-0.3,), 1.0).s == -0.3
+        assert sample(plant, (1.0,), 0.0)[:3] == (1.0, 0.0, 1.0)
+        assert sample(plant, (0.0,), 3.0)[0] == 0.0
+        assert sample(plant, (-0.3,), 1.0)[0] == -0.3
 
     def test_true_bound(self):
         assert RegulationPlant(smooth_signal()).true_bound == 2.3
@@ -130,9 +141,9 @@ class TestRegulationPlant:
 class TestLinearPlant:
     def test_surface_carries_drift_and_gain(self):
         plant = LinearPlant(1.5, 2.0, zero_signal())
-        ev = plant.surface((0.4,), 0.0)
-        assert ev.s == 0.4 and ev.g == 2.0
-        assert math.isclose(ev.h, 0.6, rel_tol=1e-15)
+        s, h, g, _ = sample(plant, (0.4,), 0.0)
+        assert s == 0.4 and g == 2.0
+        assert math.isclose(h, 0.6, rel_tol=1e-15)
 
     def test_zero_input_gain_rejected(self):
         with pytest.raises(ParameterError):
@@ -171,15 +182,15 @@ class TestTrackingPlant:
         plant = self.make()
         r = plant.reference
         for t in (0.0, 0.3, 1.7):
-            ev = plant.surface((r.value(t), r.rate(t)), t)
-            assert abs(ev.s) < 1e-12
+            s = sample(plant, (r.value(t), r.rate(t)), t)[0]
+            assert abs(s) < 1e-12
 
     def test_surface_formula(self):
         plant = self.make()
         r = plant.reference
         t = 0.9
-        ev = plant.surface((r.value(t) + 0.1, r.rate(t)), t)
-        assert math.isclose(ev.s, 0.6, rel_tol=1e-9)
+        s = sample(plant, (r.value(t) + 0.1, r.rate(t)), t)[0]
+        assert math.isclose(s, 0.6, rel_tol=1e-9)
 
     def test_reference_derivatives(self):
         r = SineReference(3.0, 0.4 * math.pi)
@@ -219,7 +230,7 @@ class TestTrackingPlant:
             # deriv equals nominal + matched uncertainty in the x2 channel
             nominal = x[0] * x[1] + math.sin(x[0]) + u
             assert math.isclose(
-                plant.deriv(x, t, u)[1], nominal + plant.uncertainty(x, t), rel_tol=1e-12, abs_tol=1e-12
+                plant.deriv(x, t, u)[1], nominal + sample(plant, x, t)[3], rel_tol=1e-12, abs_tol=1e-12
             )
 
     def test_no_declared_bound(self):
@@ -237,13 +248,13 @@ class TestSurfaceDerivativeConsistency:
         for x in states:
             t = float(rng.uniform(0.1, 20.0))
             u = float(rng.uniform(-3.0, 3.0))
-            ev = plant.surface(x, t)
+            _, h, g, _ = sample(plant, x, t)
             eps = 1e-6
             f = nominal_deriv(x, t, u)
             xp = tuple(xi + eps * fi for xi, fi in zip(x, f))
             xm = tuple(xi - eps * fi for xi, fi in zip(x, f))
-            fd = (plant.surface(xp, t + eps).s - plant.surface(xm, t - eps).s) / (2 * eps)
-            assert math.isclose(fd, ev.h + ev.g * u, rel_tol=1e-5, abs_tol=1e-7)
+            fd = (sample(plant, xp, t + eps)[0] - sample(plant, xm, t - eps)[0]) / (2 * eps)
+            assert math.isclose(fd, h + g * u, rel_tol=1e-5, abs_tol=1e-7)
 
     def test_regulation(self):
         plant = RegulationPlant(zero_signal())

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from smcsim.controllers import ClassicalSMC, DeltaAdaptiveParams, DeltaAdaptiveSMC
-from smcsim.core import overshoot_bound, ultimate_band, worst_case_response
+from smcsim import sim
+from smcsim.core import overshoot_bound, ultimate_band
 from smcsim.errors import (
     ControllabilityError,
     DomainError,
@@ -32,9 +33,10 @@ from smcsim.sim import (
     run_scenario,
     verify_ultimate_bound,
     verify_band_excursion,
-    worst_case_run,
     write_csv,
 )
+
+from oracles import worst_case_response, worst_case_run
 
 
 def zero_signal():
@@ -198,6 +200,32 @@ class TestRunScenario:
         b = run_scenario(sc)
         assert not np.array_equal(a.x, b.x)
         assert abs(a.x[-1, 0] - b.x[-1, 0]) < 1e-3
+
+    def test_block_inputs_stay_bounded_at_many_substeps(self, monkeypatch):
+        # A block holds BLOCK // substeps rows, so no vectorized call sees
+        # much more than BLOCK instants; the log is the one a single block
+        # spanning every row gives.
+        def run(block):
+            monkeypatch.setattr(sim, "BLOCK", block)
+            sc = smooth_scenario(t_end=1.0, dt=1e-3)
+            sc = Scenario(sc.name, sc.plant, sc.controller, sc.x0,
+                          IntegrationSettings(dt=1e-3, substeps=8, t_end=1.0))
+            sizes = []
+            inputs = sc.plant.inputs
+
+            def counted(t):
+                sizes.append(len(t))
+                return inputs(t)
+
+            sc.plant.inputs = sc.plant.stage_inputs = counted
+            return run_scenario(sc), max(sizes)
+
+        log, widest = run(1024)
+        assert widest <= 1024 + 1  # the final row only samples
+        whole, widest = run(10**6)
+        assert widest == 1000 * 8 + 1
+        for name in ("x", "s", "u", "gain", "gain_rate", "delta_f", "V", "Vprime"):
+            assert np.array_equal(getattr(log, name), getattr(whole, name)), name
 
     def test_validation(self):
         with pytest.raises(ParameterError):
