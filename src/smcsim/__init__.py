@@ -17,12 +17,9 @@ from .core import (  # noqa: F401
 from .controllers import (  # noqa: F401
     BoundaryLayerSMC,
     ClassicalSMC,
-    DeltaAdaptiveParams,
     DeltaAdaptiveSMC,
     PlestanAdaptiveSMC,
-    PlestanParams,
     UtkinAdaptiveSMC,
-    UtkinParams,
 )
 from .plants import (  # noqa: F401
     LinearPlant,

@@ -17,7 +17,7 @@ from .config import (
     resolve_scenario,
 )
 from .core import ultimate_band
-from .errors import ConfigError, ParameterError, SimulationDiverged, SmcError
+from .errors import ConfigError, SimulationDiverged, SmcError
 from .sim import (
     compute_metrics,
     csv_precision,
@@ -256,9 +256,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except SimulationDiverged as exc:
         print(f"numerical blow-up: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

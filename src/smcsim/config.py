@@ -21,12 +21,9 @@ import warnings
 from .controllers import (
     BoundaryLayerSMC,
     ClassicalSMC,
-    DeltaAdaptiveParams,
     DeltaAdaptiveSMC,
     PlestanAdaptiveSMC,
-    PlestanParams,
     UtkinAdaptiveSMC,
-    UtkinParams,
 )
 from .core import ultimate_band
 from .errors import ConfigError, ParameterError, SmcError, TuningWarning
@@ -184,13 +181,13 @@ _CONTROLLERS = {
     "utkin": (
         {"tau": _opt(), "alpha": _opt(0.95), "nu": _opt(1.0), "K_plus": _opt(), "M": _opt(),
          "epsilon": _opt(0.01), "K0": _opt(1.0)},
-        lambda **c: UtkinAdaptiveSMC(UtkinParams(**c))),
+        lambda **c: UtkinAdaptiveSMC(**c)),
     "plestan": (
         {"K_bar": _num, "epsilon": _num, "kappa": _num, "K0": _num},
-        lambda **c: PlestanAdaptiveSMC(PlestanParams(**c))),
+        lambda **c: PlestanAdaptiveSMC(**c)),
     "delta_adaptive": (
         {"phi": _num, "rho": _num, "k": _num, "mu_hat0": _num},
-        lambda **c: DeltaAdaptiveSMC(DeltaAdaptiveParams(**c))),
+        lambda **c: DeltaAdaptiveSMC(**c)),
 }
 
 _INTEGRATION = {"dt": _opt(1e-4),

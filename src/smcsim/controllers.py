@@ -11,7 +11,9 @@ concurrently, but distinct instances are independent.
 A step checks nothing. s finite, g != 0 and 0 < dt < inf are the caller's
 duty, and ``sim.run_scenario`` guarantees them: ``IntegrationSettings``
 validates dt once, and the runner checks s and g before each step.
-Parameters are validated once, when a controller is built.
+Each controller takes its law's parameters directly, validates them once in
+``__init__`` and keeps them as attributes next to its adaptive state, which
+``reset()`` returns to the initial value.
 
 Only the delta-adaptive law uses h and g; the switching baselines
 (u = -K*sgn(s) variants) ignore them, matching their published forms.
@@ -19,88 +21,9 @@ Only the delta-adaptive law uses h and g; the switching baselines
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from .core import _require_positive, adaptation_shape, sat, sgn, ultimate_band
 from .errors import ParameterError, TuningWarning
-
-
-@dataclass(frozen=True)
-class DeltaAdaptiveParams:
-    """Parameters of the delta-function gain-adaptation law.
-
-    phi sets the boundary layer, rho scales the learning rate (|gain_rate|
-    never exceeds 1/rho), k is the linear feedback gain and mu_hat0 the
-    initial gain guess. k above 1/eta confines the state inside the band and
-    stalls the adaptation, so that range triggers a warning rather than an
-    error.
-    """
-
-    phi: float
-    rho: float
-    k: float
-    mu_hat0: float
-
-    def __post_init__(self):
-        for name in ("phi", "rho", "mu_hat0"):
-            _require_positive(name, getattr(self, name))
-        if not math.isfinite(self.k) or self.k < 0.0:
-            raise ParameterError(f"k must be finite and >= 0, got {self.k!r}")
-        limit = 1.0 / ultimate_band(self.phi)
-        if self.k > limit:
-            warnings.warn(
-                f"feedback gain k = {self.k:g} exceeds 1/eta = {limit:g}; "
-                "the adaptation may stall inside the band",
-                TuningWarning,
-                stacklevel=2,
-            )
-
-
-@dataclass(frozen=True)
-class UtkinParams:
-    """Equivalent-control adaptation: filter constant tau, threshold alpha,
-    growth rate nu, barrier magnitude M, gain ceiling K_plus, floor epsilon."""
-
-    tau: float
-    alpha: float
-    nu: float
-    M: float
-    K_plus: float
-    epsilon: float
-    K0: float
-
-    def __post_init__(self):
-        for name in ("tau", "nu", "M", "K_plus", "epsilon", "K0"):
-            _require_positive(name, getattr(self, name))
-        if not (0.0 < self.alpha < 1.0):
-            raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if not self.M > self.nu * self.K_plus:
-            raise ParameterError(
-                f"barrier M = {self.M!r} must exceed nu*K_plus = {self.nu * self.K_plus!r}"
-            )
-        if not self.epsilon < self.K_plus:
-            raise ParameterError(
-                f"epsilon = {self.epsilon!r} must be below K_plus = {self.K_plus!r}"
-            )
-
-
-@dataclass(frozen=True)
-class PlestanParams:
-    """Gain law K_dot = K_bar*|s|*sgn(|s| - epsilon) above the floor kappa,
-    K_dot = kappa at or below it (Plestan et al., IJC 83(9), 2010)."""
-
-    K_bar: float
-    epsilon: float
-    kappa: float
-    K0: float
-
-    def __post_init__(self):
-        for name in ("K_bar", "epsilon", "kappa", "K0"):
-            _require_positive(name, getattr(self, name))
-        if not self.K0 > self.kappa:
-            raise ParameterError(
-                f"K0 = {self.K0!r} must exceed the floor kappa = {self.kappa!r}"
-            )
 
 
 class ClassicalSMC:
@@ -144,82 +67,114 @@ class UtkinAdaptiveSMC:
     sample (unconditionally stable, keeps |z| <= 1), the freshly filtered z
     forms delta = |z| - alpha, and the gain follows
     K_dot = nu*K*sgn(delta) - M*[K - K_plus]_+ + M*[epsilon - K]_+ by explicit
-    Euler, where [.]_+ is the indicator of the argument being >= 0 (the
-    barrier terms have constant magnitude M).
+    Euler from K0, where [.]_+ is the indicator of the argument being >= 0
+    (the barrier terms have constant magnitude M, which must exceed
+    nu*K_plus; the floor epsilon must stay below the ceiling K_plus).
     """
 
     kind = "utkin"
 
-    def __init__(self, params: UtkinParams):
-        self.params = params
-        self.z = 0.0
-        self.K = params.K0
+    def __init__(self, tau: float, alpha: float, nu: float, M: float, K_plus: float,
+                 epsilon: float, K0: float):
+        self.tau, self.alpha, self.nu, self.M = tau, alpha, nu, M
+        self.K_plus, self.epsilon, self.K0 = K_plus, epsilon, K0
+        for name in ("tau", "nu", "M", "K_plus", "epsilon", "K0"):
+            _require_positive(name, getattr(self, name))
+        if not (0.0 < alpha < 1.0):
+            raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
+        if not M > nu * K_plus:
+            raise ParameterError(f"barrier M = {M!r} must exceed nu*K_plus = {nu * K_plus!r}")
+        if not epsilon < K_plus:
+            raise ParameterError(f"epsilon = {epsilon!r} must be below K_plus = {K_plus!r}")
+        self.reset()
 
     def reset(self):
         self.z = 0.0
-        self.K = self.params.K0
+        self.K = self.K0
 
     def step(self, s, h, g, dt):
-        p = self.params
-        q = dt / p.tau
+        q = dt / self.tau
         sign = sgn(s)
         self.z = (self.z + q * sign) / (1.0 + q)
-        delta = abs(self.z) - p.alpha
+        delta = abs(self.z) - self.alpha
         K = self.K
-        rate = p.nu * K * sgn(delta)
-        if K - p.K_plus >= 0.0:
-            rate -= p.M
-        if p.epsilon - K >= 0.0:
-            rate += p.M
+        rate = self.nu * K * sgn(delta)
+        if K - self.K_plus >= 0.0:
+            rate -= self.M
+        if self.epsilon - K >= 0.0:
+            rate += self.M
         self.K = K + dt * rate
         return -K * sign, K, rate
 
 
 class PlestanAdaptiveSMC:
-    """Gain grows outside |s| = epsilon and shrinks inside, clamped at the
-    floor kappa, from which it rises at rate kappa."""
+    """Gain law K_dot = K_bar*|s|*sgn(|s| - epsilon) above the floor kappa,
+    K_dot = kappa at or below it (Plestan et al., IJC 83(9), 2010).
+
+    The gain starts at K0 > kappa, grows outside |s| = epsilon and shrinks
+    inside, clamped at the floor kappa, from which it rises at rate kappa.
+    """
 
     kind = "plestan"
 
-    def __init__(self, params: PlestanParams):
-        self.params = params
-        self.K = params.K0
+    def __init__(self, K_bar: float, epsilon: float, kappa: float, K0: float):
+        self.K_bar, self.epsilon, self.kappa, self.K0 = K_bar, epsilon, kappa, K0
+        for name in ("K_bar", "epsilon", "kappa", "K0"):
+            _require_positive(name, getattr(self, name))
+        if not K0 > kappa:
+            raise ParameterError(f"K0 = {K0!r} must exceed the floor kappa = {kappa!r}")
+        self.reset()
 
     def reset(self):
-        self.K = self.params.K0
+        self.K = self.K0
 
     def step(self, s, h, g, dt):
-        p = self.params
         K = self.K
-        rate = p.K_bar * abs(s) * sgn(abs(s) - p.epsilon) if K > p.kappa else p.kappa
+        kappa = self.kappa
+        rate = self.K_bar * abs(s) * sgn(abs(s) - self.epsilon) if K > kappa else kappa
         K_next = K + dt * rate
-        self.K = K_next if K_next > p.kappa else p.kappa
+        self.K = K_next if K_next > kappa else kappa
         return -K * sgn(s), K, rate
 
 
 class DeltaAdaptiveSMC:
     """Adaptive law u = -(1/g)*(h + k*s + mu_hat*sgn(s)).
 
-    The gain estimate integrates mu_hat_dot = adaptation_shape(s, phi)/rho by
+    phi sets the boundary layer, rho scales the learning rate, k is the
+    linear feedback gain and mu_hat0 the initial gain guess. The gain
+    estimate integrates mu_hat_dot = adaptation_shape(s, phi)/rho by
     explicit Euler and is projected onto [0, inf) after each step, so
     mu_hat >= 0 holds exactly in discrete time and |gain_rate| <= 1/rho
-    exactly by the range of the shape function.
+    exactly by the range of the shape function. k above 1/eta confines the
+    state inside the band and stalls the adaptation, so that range triggers
+    a warning rather than an error.
     """
 
     kind = "delta_adaptive"
 
-    def __init__(self, params: DeltaAdaptiveParams):
-        self.params = params
-        self.mu_hat = params.mu_hat0
+    def __init__(self, phi: float, rho: float, k: float, mu_hat0: float):
+        self.phi, self.rho, self.k, self.mu_hat0 = phi, rho, k, mu_hat0
+        for name in ("phi", "rho", "mu_hat0"):
+            _require_positive(name, getattr(self, name))
+        if not math.isfinite(k) or k < 0.0:
+            raise ParameterError(f"k must be finite and >= 0, got {k!r}")
+        limit = 1.0 / ultimate_band(phi)
+        if k > limit:
+            warnings.warn(
+                f"feedback gain k = {k:g} exceeds 1/eta = {limit:g}; "
+                "the adaptation may stall inside the band",
+                TuningWarning,
+                stacklevel=2,
+            )
+        self.reset()
 
     def reset(self):
-        self.mu_hat = self.params.mu_hat0
+        self.mu_hat = self.mu_hat0
 
     def step(self, s, h, g, dt):
-        p = self.params
         mu_hat = self.mu_hat
-        rate = adaptation_shape(s, p.phi) / p.rho
-        u = -(h + p.k * s + mu_hat * sgn(s)) / g
+        rate = adaptation_shape(s, self.phi) / self.rho
+        u = -(h + self.k * s + mu_hat * sgn(s)) / g
         nxt = mu_hat + dt * rate
         self.mu_hat = nxt if nxt > 0.0 else 0.0
         return u, mu_hat, rate

@@ -28,7 +28,9 @@ BAND_RATIO = math.sqrt(2.0) - 1.0
 
 
 def _require_positive(name, value):
-    if not (isinstance(value, (int, float)) and math.isfinite(value)) or value <= 0.0:
+    """Accept a positive finite int or float, and not a bool (an int subclass)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and 0.0 < value < math.inf):
         raise ParameterError(f"{name} must be a positive finite number, got {value!r}")
 
 
@@ -171,10 +173,10 @@ def overshoot_bound(mu, rho, phi, tol: float = 1e-10) -> OvershootBound:
 
 @dataclass(frozen=True)
 class CertificateBounds:
-    """Bundle of the closed-form quantities used by the stability-bound verifiers."""
+    """The reach-time certificate's sigma, T and b, which the ultimate-bound
+    verifier checks; sim.certificate_summary returns it next to the
+    OvershootBound."""
 
     sigma: float
     T: float
     b: float
-    m: float
-    delta_overshoot: float

@@ -48,8 +48,7 @@ class IntegrationSettings:
     t_end: float = 30.0
 
     def __post_init__(self):
-        if not (isinstance(self.dt, float) and math.isfinite(self.dt) and self.dt > 0.0):
-            raise ParameterError(f"dt must be positive and finite, got {self.dt!r}")
+        core._require_positive("dt", self.dt)
         if not (isinstance(self.substeps, int) and self.substeps >= 1):
             raise ParameterError(f"substeps must be an integer >= 1, got {self.substeps!r}")
         try:
@@ -181,7 +180,7 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     mu = plant.true_bound
     lyap = None
     if isinstance(controller, DeltaAdaptiveSMC) and mu is not None:
-        lyap = controller.params
+        lyap = controller
     x1 = scenario.x0[0]
     x2 = scenario.x0[1] if plant.n_states > 1 else 0.0
     for c0 in range(0, n, rows_per_block):
@@ -540,7 +539,8 @@ def verify_band_excursion(log: TrajectoryLog, m, delta, phi, tol=0.05) -> Excurs
 
 
 def certificate_summary(mu, rho, phi, k, v0=None, b=None):
-    """Convenience bundle of sigma, T, b, m, delta for reports.
+    """The certificate bounds (sigma, T, b) and the overshoot bound (m, delta)
+    for reports.
 
     sigma, T and b come from core._certificate: b defaults to the midpoint of
     (sigma/k, v0), and T and that default are NaN without v0. sigma and T
@@ -552,5 +552,4 @@ def certificate_summary(mu, rho, phi, k, v0=None, b=None):
     # Looked up on core at each call, so that a wrapper put on
     # core.overshoot_bound (perfbench's tracer) sees this call too.
     ob = core.overshoot_bound(mu, rho, phi)
-    return CertificateBounds(sigma=sigma, T=T, b=b if b is not None else math.nan,
-                             m=ob.m, delta_overshoot=ob.delta), ob
+    return CertificateBounds(sigma=sigma, T=T, b=b if b is not None else math.nan), ob

@@ -12,12 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from smcsim.controllers import (
-    PlestanAdaptiveSMC,
-    PlestanParams,
-    UtkinAdaptiveSMC,
-    UtkinParams,
-)
+from smcsim.controllers import PlestanAdaptiveSMC, UtkinAdaptiveSMC
 from smcsim.core import (
     adaptation_shape,
     delta_surface,
@@ -187,15 +182,14 @@ class TestCriterion8:
                 fd = (delta_surface(s + h, phi) - delta_surface(s - h, phi)) / (2 * h)
                 deriv_ok &= math.isclose(fd, adaptation_shape(s, phi), rel_tol=1e-6)
 
-        utkin = UtkinAdaptiveSMC(UtkinParams(tau=5e-4, alpha=0.95, nu=1.0, M=46.0,
-                                             K_plus=23.0, epsilon=0.01, K0=1.0))
+        utkin = UtkinAdaptiveSMC(tau=5e-4, alpha=0.95, nu=1.0, M=46.0,
+                                 K_plus=23.0, epsilon=0.01, K0=1.0)
         z_ok = True
         for _ in range(cases):
             utkin.step(float(rng.uniform(-3, 3)), 0.0, 1.0, 1e-4)
             z_ok &= abs(utkin.z) <= 1.0
 
-        plestan = PlestanAdaptiveSMC(PlestanParams(K_bar=3000.0, epsilon=0.0041,
-                                                   kappa=0.01, K0=0.011))
+        plestan = PlestanAdaptiveSMC(K_bar=3000.0, epsilon=0.0041, kappa=0.01, K0=0.011)
         floor_ok = True
         for _ in range(cases):
             plestan.step(float(rng.uniform(-0.003, 0.003)), 0.0, 1.0, 1e-2)

@@ -183,7 +183,7 @@ class TestRun:
 # given, so a bad dt must never reach them.
 @pytest.mark.parametrize("dt", [0.0, -1e-4, math.nan, math.inf, -math.inf])
 def test_bad_dt_rejected_at_the_boundary(tmp_path, capsys, dt):
-    with pytest.raises(ParameterError, match="dt must be positive and finite"):
+    with pytest.raises(ParameterError, match="dt must be a positive finite number"):
         IntegrationSettings(dt=dt)
     out = tmp_path / "out"
     assert main(["run", "regulation-smooth", f"--dt={dt!r}", "--out", str(out)]) == 2

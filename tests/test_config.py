@@ -63,28 +63,28 @@ class TestPresets:
 
     def test_published_parameter_sets(self):
         smooth = load_scenario(preset_path("regulation-smooth"))
-        p = smooth.controller.params
+        p = smooth.controller
         assert (p.phi, p.rho, p.k, p.mu_hat0) == (0.01, 1.0, 2.0, 0.001)
         assert smooth.x0 == (1.0,)
 
         square = load_scenario(preset_path("regulation-square"))
-        p = square.controller.params
+        p = square.controller
         assert (p.phi, p.rho, p.k, p.mu_hat0) == (0.03, 0.7, 9.0, 0.001)
         assert square.x0 == (0.1,)
 
         tracking = load_scenario(preset_path("tracking"))
-        p = tracking.controller.params
+        p = tracking.controller
         assert (p.phi, p.rho, p.k, p.mu_hat0) == (0.3, 0.7, 5.0, 0.001)
         assert isinstance(tracking.plant, TrackingPlant)
         assert tracking.plant.lam == 6.0
         assert math.isclose(tracking.plant.reference.omega, 0.4 * math.pi, rel_tol=1e-15)
 
         fast = load_scenario(preset_path("compare-smooth-plestan-fast"))
-        assert fast.controller.params.K_bar == 3000.0
-        assert math.isclose(fast.controller.params.epsilon,
+        assert fast.controller.K_bar == 3000.0
+        assert math.isclose(fast.controller.epsilon,
                             0.01 * (math.sqrt(2) - 1.0), rel_tol=1e-15)
         slow = load_scenario(preset_path("compare-smooth-plestan-slow"))
-        assert slow.controller.params.K_bar == 150.0
+        assert slow.controller.K_bar == 150.0
 
     def test_comparison_presets_share_setup(self):
         cfgs = [

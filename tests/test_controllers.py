@@ -6,36 +6,33 @@ import pytest
 from smcsim.controllers import (
     BoundaryLayerSMC,
     ClassicalSMC,
-    DeltaAdaptiveParams,
     DeltaAdaptiveSMC,
     PlestanAdaptiveSMC,
-    PlestanParams,
     UtkinAdaptiveSMC,
-    UtkinParams,
 )
-from smcsim.config import build_scenario, load_config, preset_path
+from smcsim.config import build_scenario, load_config, normalize_config, preset_path
 from smcsim.core import ultimate_band
 from smcsim.errors import ConfigError, ParameterError, TuningWarning
 
 DT = 1e-4
 
 
-def utkin_params(**kw):
+def utkin(**kw):
     base = dict(tau=1e-3, alpha=0.95, nu=1.0, M=46.0, K_plus=23.0, epsilon=0.01, K0=1.0)
     base.update(kw)
-    return UtkinParams(**base)
+    return UtkinAdaptiveSMC(**base)
 
 
-def plestan_params(**kw):
+def plestan(**kw):
     base = dict(K_bar=3000.0, epsilon=0.0041421356237309515, kappa=0.01, K0=0.02)
     base.update(kw)
-    return PlestanParams(**base)
+    return PlestanAdaptiveSMC(**base)
 
 
-def delta_params(**kw):
+def delta(**kw):
     base = dict(phi=0.01, rho=1.0, k=2.0, mu_hat0=0.001)
     base.update(kw)
-    return DeltaAdaptiveParams(**base)
+    return DeltaAdaptiveSMC(**base)
 
 
 class TestClassical:
@@ -78,18 +75,18 @@ class TestBoundaryLayer:
 class TestUtkin:
     def test_param_invariants(self):
         with pytest.raises(ParameterError):
-            utkin_params(M=20.0)  # must exceed nu*K_plus
+            utkin(M=20.0)  # must exceed nu*K_plus
         with pytest.raises(ParameterError):
-            utkin_params(alpha=1.0)
+            utkin(alpha=1.0)
         with pytest.raises(ParameterError):
-            utkin_params(epsilon=30.0)  # must stay below K_plus
+            utkin(epsilon=30.0)  # must stay below K_plus
         with pytest.raises(ParameterError):
-            utkin_params(tau=0.0)
+            utkin(tau=0.0)
 
     def test_persistent_sliding_drives_gain_to_ceiling(self):
         # s held positive: z -> 1, delta -> 1 - alpha > 0, K climbs until the
         # ceiling barrier holds it near K_plus
-        ctl = UtkinAdaptiveSMC(utkin_params())
+        ctl = utkin()
         for _ in range(60_000):  # 6 s
             u, gain, _ = ctl.step(1.0, 0.0, 1.0, DT)
         assert ctl.z > 0.999
@@ -99,23 +96,22 @@ class TestUtkin:
     def test_dead_point_freezes_gain(self):
         # filter in steady state at z = alpha with s = 0: delta = 0 so the
         # growth term vanishes and K sits between the barriers
-        ctl = UtkinAdaptiveSMC(utkin_params(tau=1e30))
+        ctl = utkin(tau=1e30)
         ctl.z = 0.95
         _, _, gain_rate = ctl.step(0.0, 0.0, 1.0, DT)
         assert gain_rate == 0.0
 
     def test_floor_barrier_pushes_up(self):
-        p = utkin_params()
-        ctl = UtkinAdaptiveSMC(p)
-        ctl.K = p.epsilon / 2.0
+        ctl = utkin()
+        ctl.K = ctl.epsilon / 2.0
         _, _, gain_rate = ctl.step(0.0, 0.0, 1.0, DT)
         # delta < 0 shrinks, but the floor barrier +M dominates
         assert gain_rate > 0.0
-        assert math.isclose(gain_rate, -p.nu * p.epsilon / 2.0 + p.M, rel_tol=1e-12)
+        assert math.isclose(gain_rate, -ctl.nu * ctl.epsilon / 2.0 + ctl.M, rel_tol=1e-12)
 
     def test_filter_stays_in_unit_interval(self):
         rng = np.random.default_rng(7)
-        ctl = UtkinAdaptiveSMC(utkin_params(tau=5 * DT))
+        ctl = utkin(tau=5 * DT)
         for _ in range(1000):
             ctl.step(rng.uniform(-3.0, 3.0), 0.0, 1.0, DT)
             assert abs(ctl.z) <= 1.0
@@ -125,21 +121,21 @@ class TestUtkin:
         # is built, and the default tau = 10*dt it would imply is rejected too.
         cfg = load_config(preset_path("regulation-smooth-utkin"))
         cfg["integration"]["dt"] = 0.0
-        with pytest.raises(ConfigError, match="dt must be positive and finite"):
+        with pytest.raises(ConfigError, match="dt must be a positive finite number"):
             build_scenario(cfg)
         with pytest.raises(ParameterError, match="tau"):
-            utkin_params(tau=10.0 * 0.0)
+            utkin(tau=10.0 * 0.0)
 
 
 class TestPlestan:
     def test_grows_outside_threshold(self):
-        ctl = PlestanAdaptiveSMC(plestan_params())
+        ctl = plestan()
         s = 0.1
         _, _, gain_rate = ctl.step(s, 0.0, 1.0, DT)
         assert gain_rate == 3000.0 * abs(s)
 
     def test_shrinks_inside_threshold(self):
-        ctl = PlestanAdaptiveSMC(plestan_params(K0=1.0))
+        ctl = plestan(K0=1.0)
         s = 0.001  # inside epsilon
         _, _, gain_rate = ctl.step(s, 0.0, 1.0, DT)
         assert gain_rate == -3000.0 * abs(s)
@@ -147,60 +143,58 @@ class TestPlestan:
     def test_reaches_floor_and_leaves_it(self):
         # Plestan et al. (2010): K_dot = kappa at K <= kappa, so the floor
         # does not latch. Inside epsilon the gain shrinks onto the floor.
-        p = plestan_params(K0=0.011)
-        ctl = PlestanAdaptiveSMC(p)
+        ctl = plestan(K0=0.011)
         for _ in range(100):
             ctl.step(0.001, 0.0, 1.0, DT)
-            if ctl.K == p.kappa:
+            if ctl.K == ctl.kappa:
                 break
-        assert ctl.K == p.kappa
+        assert ctl.K == ctl.kappa
         _, gain, gain_rate = ctl.step(0.001, 0.0, 1.0, DT)
-        assert (gain, gain_rate) == (p.kappa, p.kappa)
-        assert ctl.K == p.kappa + DT * p.kappa
+        assert (gain, gain_rate) == (ctl.kappa, ctl.kappa)
+        assert ctl.K == ctl.kappa + DT * ctl.kappa
 
     def test_gain_never_below_floor(self):
-        p = plestan_params(K0=0.011)
-        ctl = PlestanAdaptiveSMC(p)
+        ctl = plestan(K0=0.011)
         rng = np.random.default_rng(11)
         for _ in range(1000):
             ctl.step(rng.uniform(-0.002, 0.002), 0.0, 1.0, DT)
-            assert ctl.K >= p.kappa
+            assert ctl.K >= ctl.kappa
 
     def test_param_invariants(self):
         with pytest.raises(ParameterError):
-            plestan_params(K0=0.005)  # below kappa
+            plestan(K0=0.005)  # below kappa
         with pytest.raises(ParameterError):
-            plestan_params(K_bar=0.0)
+            plestan(K_bar=0.0)
 
 
 class TestDeltaAdaptive:
     def test_control_formula(self):
-        ctl = DeltaAdaptiveSMC(delta_params())
+        ctl = delta()
         u, gain, _ = ctl.step(1.0, 0.0, 1.0, DT)
         assert math.isclose(u, -2.001, rel_tol=1e-15)
         assert gain == 0.001
 
     def test_rate_zero_at_band(self):
-        ctl = DeltaAdaptiveSMC(delta_params())
+        ctl = delta()
         eta = ultimate_band(0.01)
         _, _, gain_rate = ctl.step(eta, 0.0, 1.0, DT)
         assert abs(gain_rate) <= 2e-15
 
     def test_rate_saturates_at_inverse_rho(self):
-        ctl = DeltaAdaptiveSMC(delta_params(rho=0.7))
+        ctl = delta(rho=0.7)
         _, _, rate = ctl.step(1e6, 0.0, 1.0, DT)
         assert 0.0 < (1.0 / 0.7) - rate < 1e-6
         assert rate <= 1.0 / 0.7
 
     def test_feedforward_cancellation(self):
-        ctl = DeltaAdaptiveSMC(delta_params(k=0.0, mu_hat0=1e-12))
+        ctl = delta(k=0.0, mu_hat0=1e-12)
         u, _, _ = ctl.step(0.0, 3.5, 2.0, DT)
         assert math.isclose(u, -3.5 / 2.0, rel_tol=1e-12)
 
     def test_gain_nonnegative_and_rate_bounded(self):
         rng = np.random.default_rng(13)
         for rho in (0.3, 0.7, 1.0, 2.5):
-            ctl = DeltaAdaptiveSMC(delta_params(rho=rho, mu_hat0=1e-4))
+            ctl = delta(rho=rho, mu_hat0=1e-4)
             for _ in range(1000):
                 _, gain, gain_rate = ctl.step(rng.uniform(-0.05, 0.05), 0.0, 1.0, 1e-2)
                 assert gain >= 0.0
@@ -209,7 +203,7 @@ class TestDeltaAdaptive:
 
     def test_switching_term_opposes_s(self):
         rng = np.random.default_rng(17)
-        ctl = DeltaAdaptiveSMC(delta_params())
+        ctl = delta()
         for _ in range(500):
             s = rng.uniform(-2.0, 2.0)
             u, gain, _ = ctl.step(s, 0.0, 1.0, DT)
@@ -217,21 +211,37 @@ class TestDeltaAdaptive:
 
     def test_tuning_warning_for_large_k(self):
         with pytest.warns(TuningWarning):
-            delta_params(phi=0.01, k=500.0)  # 1/eta ~ 241
+            delta(phi=0.01, k=500.0)  # 1/eta ~ 241
 
     def test_param_rejections(self):
         for bad in (dict(phi=0.0), dict(rho=-1.0), dict(k=-0.1), dict(mu_hat0=0.0)):
             with pytest.raises(ParameterError):
-                delta_params(**bad)
+                delta(**bad)
 
 
 ALL_CONTROLLERS = {
     "classical": lambda: ClassicalSMC(2.0),
     "boundary_layer": lambda: BoundaryLayerSMC(2.0, 0.01),
-    "utkin": lambda: UtkinAdaptiveSMC(utkin_params()),
-    "plestan": lambda: PlestanAdaptiveSMC(plestan_params()),
-    "delta_adaptive": lambda: DeltaAdaptiveSMC(delta_params()),
+    "utkin": utkin,
+    "plestan": plestan,
+    "delta_adaptive": delta,
 }
+
+# One positive parameter of each law passed as True: bool is an int subclass,
+# so the check must exclude it by name.
+WITH_TRUE = {
+    "classical": lambda: ClassicalSMC(True),
+    "boundary_layer": lambda: BoundaryLayerSMC(2.0, True),
+    "utkin": lambda: utkin(K0=True),
+    "plestan": lambda: plestan(K_bar=True),
+    "delta_adaptive": lambda: delta(rho=True),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WITH_TRUE))
+def test_bool_parameter_rejected(kind):
+    with pytest.raises(ParameterError, match="must be a positive finite number, got True"):
+        WITH_TRUE[kind]()
 
 
 @pytest.mark.parametrize("kind", sorted(ALL_CONTROLLERS))
@@ -264,8 +274,17 @@ def test_every_step_rejects_bad_dt(kind, dt, monkeypatch):
         raise AssertionError(f"{kind} controller built with dt = {dt!r}")
 
     monkeypatch.setattr(type(ALL_CONTROLLERS[kind]()), "__init__", never)
-    with pytest.raises(ConfigError, match=r"integration(\.dt: must be finite|: dt must be positive and finite)"):
+    with pytest.raises(ConfigError, match=r"integration(\.dt: must be finite|: dt must be a positive finite number)"):
         build_scenario(cfg)
+
+
+@pytest.mark.parametrize("kind", sorted(PRESET_OF))
+def test_controller_carries_its_config_fields(kind):
+    cfg = normalize_config(load_config(preset_path(PRESET_OF[kind])))
+    ctl = build_scenario(cfg).controller
+    fields = {name: v for name, v in cfg["controller"].items() if name not in ("kind", "note")}
+    assert ctl.kind == kind and fields
+    assert {name: getattr(ctl, name) for name in fields} == fields
 
 
 class TestDeterminism:
@@ -283,8 +302,20 @@ class TestDeterminism:
         assert run() == run()
 
     def test_reset_restores_initial_state(self):
-        ctl = DeltaAdaptiveSMC(delta_params())
+        ctl = delta()
         first = [ctl.step(0.5, 0.0, 1.0, DT) for _ in range(10)]
         ctl.reset()
         second = [ctl.step(0.5, 0.0, 1.0, DT) for _ in range(10)]
         assert first == second
+
+    @pytest.mark.parametrize("kind", sorted(ALL_CONTROLLERS))
+    def test_reset_matches_a_fresh_controller(self, kind):
+        rng = np.random.default_rng(23)
+        inputs = [(rng.uniform(-0.02, 0.02), rng.uniform(-1, 1), 1.0) for _ in range(300)]
+        used = ALL_CONTROLLERS[kind]()
+        for s, h, g in inputs:
+            used.step(s, h, g, DT)
+        used.reset()
+        fresh = ALL_CONTROLLERS[kind]()
+        assert ([used.step(s, h, g, DT) for s, h, g in inputs]
+                == [fresh.step(s, h, g, DT) for s, h, g in inputs])

@@ -17,12 +17,9 @@ import pytest
 from smcsim.controllers import (
     BoundaryLayerSMC,
     ClassicalSMC,
-    DeltaAdaptiveParams,
     DeltaAdaptiveSMC,
     PlestanAdaptiveSMC,
-    PlestanParams,
     UtkinAdaptiveSMC,
-    UtkinParams,
 )
 from smcsim.plants import (
     BLOCK,
@@ -66,8 +63,7 @@ def reference_run(scenario):
     h = dt / substeps
     lyap = None
     if isinstance(controller, DeltaAdaptiveSMC) and plant.true_bound is not None:
-        p = controller.params
-        lyap = (p.phi, p.rho, p.k, plant.true_bound)
+        lyap = (controller.phi, controller.rho, controller.k, plant.true_bound)
     out = {name: np.zeros(n) for name in LOG_COLUMNS}
     out["x"] = np.zeros((n, plant.n_states))
     x = scenario.x0
@@ -108,12 +104,10 @@ PLANTS = {
 CONTROLLERS = {
     "classical": lambda: ClassicalSMC(3.0),
     "boundary_layer": lambda: BoundaryLayerSMC(3.0, 0.05),
-    "utkin": lambda: UtkinAdaptiveSMC(UtkinParams(tau=0.01, alpha=0.95, nu=1.0, M=40.0,
-                                                  K_plus=15.0, epsilon=0.01, K0=1.0)),
-    "plestan": lambda: PlestanAdaptiveSMC(PlestanParams(K_bar=50.0, epsilon=0.01,
-                                                        kappa=0.01, K0=0.5)),
-    "delta_adaptive": lambda: DeltaAdaptiveSMC(DeltaAdaptiveParams(phi=0.05, rho=0.5, k=3.0,
-                                                                   mu_hat0=0.1)),
+    "utkin": lambda: UtkinAdaptiveSMC(tau=0.01, alpha=0.95, nu=1.0, M=40.0,
+                                      K_plus=15.0, epsilon=0.01, K0=1.0),
+    "plestan": lambda: PlestanAdaptiveSMC(K_bar=50.0, epsilon=0.01, kappa=0.01, K0=0.5),
+    "delta_adaptive": lambda: DeltaAdaptiveSMC(phi=0.05, rho=0.5, k=3.0, mu_hat0=0.1),
 }
 
 X0 = {"regulation": (0.8,), "linear": (-0.6,), "tracking": (0.3, -0.2)}

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smcsim.controllers import ClassicalSMC, DeltaAdaptiveParams, DeltaAdaptiveSMC
+from smcsim.controllers import ClassicalSMC, DeltaAdaptiveSMC
 from smcsim import sim
 from smcsim.core import overshoot_bound, ultimate_band
 from smcsim.errors import (
@@ -51,7 +51,7 @@ def smooth_scenario(t_end=5.0, dt=1e-4, x0=1.0):
     return Scenario(
         name="smooth",
         plant=RegulationPlant(smooth_signal()),
-        controller=DeltaAdaptiveSMC(DeltaAdaptiveParams(phi=0.01, rho=1.0, k=2.0, mu_hat0=0.001)),
+        controller=DeltaAdaptiveSMC(phi=0.01, rho=1.0, k=2.0, mu_hat0=0.001),
         x0=(x0,),
         settings=IntegrationSettings(dt=dt, substeps=1, t_end=t_end),
     )
@@ -64,6 +64,11 @@ class TestRowCount:
     )
     def test_counts(self, t_end, dt, expected):
         assert row_count(t_end, dt) == expected
+
+    def test_integer_dt_accepted(self):
+        # dt takes a positive finite int like every other parameter.
+        settings = IntegrationSettings(dt=1, t_end=30)
+        assert row_count(settings.t_end, settings.dt) == 31
 
 
 class TestRunScenario:
