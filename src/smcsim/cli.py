@@ -111,6 +111,98 @@ def cmd_run(args):
     return EXIT_OK
 
 
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_share(fn, share):
+    """fn over share in order, up to and including the first exception,
+    which takes the place of its result."""
+    outcomes = []
+    for x in share:
+        try:
+            outcomes.append(fn(x))
+        except Exception as exc:
+            outcomes.append(exc)
+            break
+    return outcomes
+
+
+def _forked_map(fn, items):
+    """[fn(x) for x in items] on W processes; raises the first exception in
+    input order.
+
+    W is the number of usable CPUs, at most len(items), and 1 without
+    os.fork. Process j takes items[j::W]: this process share 0, and W - 1
+    forked children the others. The children inherit fn and items through
+    fork, so neither needs to pickle; each sends back its list of results
+    (or exception) through a pipe and leaves by os._exit. Every child is
+    reaped before this returns or raises.
+    """
+    import pickle
+    import signal
+
+    n = len(items)
+    w = min(_usable_cpus(), n) if hasattr(os, "fork") else 1
+    outcomes = [None] * n
+
+    def place(j, share):
+        for i, out in zip(range(j, n, w), share):
+            outcomes[i] = out
+
+    children = []  # (pid, read end, j), not yet reaped
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        for j in range(1, w):
+            r, wr = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: never returns from here
+                status = 1
+                try:
+                    os.close(r)
+                    with os.fdopen(wr, "wb") as pipe:
+                        pickle.dump(_run_share(fn, items[j::w]), pipe)
+                    sys.stderr.flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(wr)
+            children.append((pid, os.fdopen(r, "rb"), j))
+        place(0, _run_share(fn, items[0::w]))
+        while children:
+            pid, pipe, j = children[0]
+            try:
+                share = pickle.load(pipe)
+            except Exception:
+                share = None
+            pipe.close()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if share is None:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                inputs = ", ".join(str(i + 1) for i in range(j, n, w))
+                share = [SmcError(f"the process running input(s) {inputs} of {n} "
+                                  f"ended without a result ({how})")]
+            place(j, share)
+    except BaseException:
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+    for out in outcomes:
+        if isinstance(out, BaseException):
+            raise out
+    return outcomes
+
+
 def cmd_compare(args):
     if len(args.scenarios) < 2:
         raise ConfigError("compare needs at least two scenario files")
@@ -133,16 +225,16 @@ def cmd_compare(args):
                   key=lambda c: c["kind"] != "delta_adaptive")
     phi = next((c["phi"] for c in ctls if "phi" in c), None)
 
-    rows = []
-    for sc in scenarios:
+    def run_one(sc):
+        # run_scenario is read from cli's globals at each call, so a wrapper
+        # set on cli.run_scenario sees the calls of this process. The log is
+        # freed on return, before this process runs its next scenario.
         log = run_scenario(sc)
         metrics = compute_metrics(log, phi)
         _write_outputs(args.out, sc.name, log, metrics, precision)
-        rows.append((sc.name, metrics))
-        # Free this log before the next scenario allocates its own, so that
-        # two logs never coexist at the memory peak.
-        del log
+        return sc.name, metrics
 
+    rows = _forked_map(run_one, scenarios)
     fields = ("reach_time_to_band", "steady_band_mean", "steady_band_max",
               "chattering_index", "max_gain")
     width = max(len(name) for name, _ in rows)

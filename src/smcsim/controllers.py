@@ -19,7 +19,6 @@ Only the delta-adaptive law uses h and g; the switching baselines
 (u = -K*sgn(s) variants) ignore them, matching their published forms.
 """
 
-import math
 import warnings
 
 from .core import _require_positive, adaptation_shape, sat, sgn, ultimate_band
@@ -156,8 +155,7 @@ class DeltaAdaptiveSMC:
         self.phi, self.rho, self.k, self.mu_hat0 = phi, rho, k, mu_hat0
         for name in ("phi", "rho", "mu_hat0"):
             _require_positive(name, getattr(self, name))
-        if not math.isfinite(k) or k < 0.0:
-            raise ParameterError(f"k must be finite and >= 0, got {k!r}")
+        _require_positive("k", k, zero_ok=True)
         limit = 1.0 / ultimate_band(phi)
         if k > limit:
             warnings.warn(

@@ -18,6 +18,7 @@ runner checks s before each step.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,11 +28,14 @@ from .errors import ParameterError, PreconditionError
 BAND_RATIO = math.sqrt(2.0) - 1.0
 
 
-def _require_positive(name, value):
-    """Accept a positive finite int or float, and not a bool (an int subclass)."""
+def _require_positive(name, value, zero_ok=False):
+    """Accept a positive (with zero_ok, non-negative) int or float that has a
+    finite float value, and not a bool (an int subclass)."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and 0.0 < value < math.inf):
-        raise ParameterError(f"{name} must be a positive finite number, got {value!r}")
+    above = number and (value >= 0.0 if zero_ok else value > 0.0)
+    if not (above and value <= sys.float_info.max):
+        what = "non-negative" if zero_ok else "positive"
+        raise ParameterError(f"{name} must be a {what} finite number, got {value!r}")
 
 
 def sgn(s: float) -> int:

@@ -46,6 +46,10 @@ class SimulationDiverged(SmcError, RuntimeError):
                 message += f" (row {row}; last finite state x = {list(state)!r}{known})"
         super().__init__(message)
 
+    def __reduce__(self):
+        # The default rebuilds from args, the message alone, as `time`.
+        return type(self), (self.time, str(self), self.row, self.state, self.u, self.gain)
+
 
 class TuningWarning(UserWarning):
     """Parameter choice is valid but outside the recommended tuning range."""

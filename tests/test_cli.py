@@ -1,14 +1,18 @@
 import json
 import math
+import os
+import pickle
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from smcsim import cli, config
 from smcsim.cli import main
 from smcsim.config import load_config, preset_path
-from smcsim.errors import ParameterError, TuningWarning
+from smcsim.errors import (ControllabilityError, ParameterError, SimulationDiverged,
+                           TuningWarning)
 from smcsim.plants import RegulationPlant
 from smcsim.sim import IntegrationSettings, row_count
 
@@ -292,3 +296,139 @@ class TestEndToEndDeterminism:
             assert res.returncode == 0, res.stderr
             outs.append((tmp_path / sub / "regulation-smooth.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+TRIO = ("compare-smooth-adaptive", "compare-smooth-plestan-fast", "compare-smooth-plestan-slow")
+
+
+def compare_files(tmp_path, t_end=0.5):
+    """The compare-smooth trio cut to t_end, and a fourth delta-adaptive
+    scenario on the same plant with a slower adaptation."""
+    files = []
+    for preset in TRIO:
+        cfg = load_config(preset_path(preset))
+        cfg["integration"]["t_end"] = t_end
+        files.append(write_scenario(tmp_path, cfg, preset + ".json"))
+    cfg["name"] = "slow-adaptive"
+    cfg["controller"] = dict(load_config(preset_path(TRIO[0]))["controller"], rho=3.0)
+    files.append(write_scenario(tmp_path, cfg, "slow-adaptive.json"))
+    return files
+
+
+def compare_on(monkeypatch, capsys, w, files, out):
+    """smcsim compare with w usable CPUs; (exit code, stdout, stderr, forks)."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: w)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    rc = main(["compare", *files, "--out", str(out)])
+    cap = capsys.readouterr()
+    return rc, cap.out, cap.err, len(forks)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedCompare:
+    @pytest.mark.parametrize("n, w", [(2, 2), (4, 2), (4, 3)])
+    def test_outputs_identical_to_one_process(self, tmp_path, monkeypatch, capsys, n, w):
+        # At 4 scenarios and w = 3 the shares are uneven: [0, 3], [1], [2].
+        files = compare_files(tmp_path)[:n]
+        one = compare_on(monkeypatch, capsys, 1, files, tmp_path / "one")
+        many = compare_on(monkeypatch, capsys, w, files, tmp_path / "many")
+        assert one[0] == many[0] == 0
+        assert one[1:3] == many[1:3]
+        assert (one[3], many[3]) == (0, w - 1)
+        names = sorted(p.name for p in (tmp_path / "one").iterdir())
+        assert len(names) == 3 * n
+        assert names == sorted(p.name for p in (tmp_path / "many").iterdir())
+        for name in names:
+            assert (tmp_path / "one" / name).read_bytes() == \
+                (tmp_path / "many" / name).read_bytes(), name
+        assert_no_child_left()
+
+    def test_processes_capped_by_scenarios_and_fork(self, tmp_path, monkeypatch, capsys):
+        files = compare_files(tmp_path, t_end=1.0)[:2]
+        assert compare_on(monkeypatch, capsys, 8, files, tmp_path)[3] == 1
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+        assert main(["compare", *files, "--out", str(tmp_path)]) == 0
+
+    def test_unpicklable_controller_attribute(self, tmp_path, monkeypatch, capsys):
+        # The children inherit the scenarios through fork; nothing is pickled
+        # on the way in.
+        for kind in ("DeltaAdaptiveSMC", "PlestanAdaptiveSMC"):
+            def build(cls=getattr(config, kind), **kw):
+                ctl = cls(**kw)
+                ctl.hook = lambda: None
+                return ctl
+            monkeypatch.setattr(config, kind, build)
+        files = compare_files(tmp_path, t_end=1.0)[:2]
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(config.load_scenario(files[1]))
+        rc, out, err, forks = compare_on(monkeypatch, capsys, 2, files, tmp_path)
+        assert (rc, forks) == (0, 1), err
+        assert "lowest chattering_index" in out
+
+    def test_child_without_result_exits_2(self, tmp_path, monkeypatch, capsys):
+        parent, run = os.getpid(), cli.run_scenario
+
+        def dying(sc):
+            if os.getpid() != parent:
+                os._exit(7)
+            return run(sc)
+
+        monkeypatch.setattr(cli, "run_scenario", dying)
+        files = compare_files(tmp_path, t_end=1.0)[:3]
+        rc, out, err, _ = compare_on(monkeypatch, capsys, 2, files, tmp_path)
+        assert (rc, out) == (2, "")
+        assert err == "error: the process running input(s) 2 of 3 ended without a result " \
+                      "(exit status 7)\n"
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("w", [1, 2])
+    @pytest.mark.parametrize("order, code", [(("ok", "diverges", "fails"), 3),
+                                             (("ok", "fails", "diverges"), 2)])
+    def test_first_failure_in_input_order_decides(self, tmp_path, monkeypatch, capsys,
+                                                  w, order, code):
+        # At w = 2 this process runs inputs 1 and 3 and the child input 2,
+        # so the later failure is the one this process sees itself.
+        run = cli.run_scenario
+
+        def failing(sc):
+            if sc.name == "diverges":
+                raise SimulationDiverged(0.125, row=3, state=(1.0,), u=2.0, gain=3.0)
+            if sc.name == "fails":
+                raise ControllabilityError("g vanished")
+            return run(sc)
+
+        monkeypatch.setattr(cli, "run_scenario", failing)
+        cfg = load_config(preset_path(TRIO[0]))
+        cfg["integration"]["t_end"] = 1.0
+        files = []
+        for name in order:
+            cfg["name"] = name
+            files.append(write_scenario(tmp_path, cfg, name + ".json"))
+        rc, out, err, _ = compare_on(monkeypatch, capsys, w, files, tmp_path / "out")
+        assert (rc, out) == (code, "")
+        expected = {3: "numerical blow-up: state became non-finite at t = 0.125 s",
+                    2: "error: g vanished"}[code]
+        assert err.startswith(expected) and "Traceback" not in err
+        assert_no_child_left()
+
+    def test_real_divergence_same_at_one_and_two_processes(self, tmp_path, monkeypatch,
+                                                           capsys):
+        files = compare_files(tmp_path)[:1]
+        cfg = load_config(preset_path(TRIO[1]))
+        cfg["integration"]["t_end"] = 0.5
+        cfg["name"] = "boom"
+        cfg["controller"].update(K_bar=1e300, K0=1e300)
+        files.append(write_scenario(tmp_path, cfg, "boom.json"))
+        one = compare_on(monkeypatch, capsys, 1, files, tmp_path / "one")
+        two = compare_on(monkeypatch, capsys, 2, files, tmp_path / "two")
+        assert one[:3] == two[:3]
+        assert one[0] == 3 and one[2].startswith("numerical blow-up: ")
+        assert two[3] == 1
+        assert_no_child_left()

@@ -218,6 +218,22 @@ class TestDeltaAdaptive:
             with pytest.raises(ParameterError):
                 delta(**bad)
 
+    @pytest.mark.parametrize("k", [True, 10**400, -0.1, math.nan, math.inf],
+                             ids=["bool", "1e400", "negative", "nan", "inf"])
+    def test_k_rejected_through_the_shared_check(self, k):
+        # True is an int, and 10**400 compares below inf but has no float value.
+        with pytest.raises(ParameterError, match=r"k must be a non-negative finite number"):
+            delta(k=k)
+
+
+@pytest.mark.parametrize("build", [lambda: ClassicalSMC(10**400),
+                                   lambda: BoundaryLayerSMC(2.0, 10**400),
+                                   lambda: delta(rho=10**400)],
+                         ids=["classical K", "boundary_layer phi", "delta_adaptive rho"])
+def test_int_beyond_the_float_range_rejected(build):
+    with pytest.raises(ParameterError, match="must be a positive finite number"):
+        build()
+
 
 ALL_CONTROLLERS = {
     "classical": lambda: ClassicalSMC(2.0),

@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -152,6 +153,15 @@ class TestRunScenario:
         assert len(exc.state) == 1 and math.isfinite(exc.state[0])
         assert exc.u == -0.001 and exc.gain == 0.001
         assert f"(row {exc.row}; last finite state x = [{exc.state[0]!r}]" in str(exc)
+
+    def test_divergence_survives_pickling(self):
+        # compare sends a child's exception to its parent by pickle.
+        exc = SimulationDiverged(1.5, row=3, state=(1.0,), u=2.0, gain=3.0)
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is SimulationDiverged and str(back) == str(exc)
+        assert (back.time, back.row, back.state, back.u, back.gain) == (1.5, 3, (1.0,), 2.0, 3.0)
+        custom = pickle.loads(pickle.dumps(SimulationDiverged(0.25, "custom message")))
+        assert (str(custom), custom.time, custom.row) == ("custom message", 0.25, None)
 
     @pytest.mark.parametrize("x0, row, controlled", [
         ((0.0, 1e200), 1, True),     # a stage value overflows inside advance
