@@ -118,29 +118,19 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _run_share(fn, share):
-    """fn over share in order, up to and including the first exception,
-    which takes the place of its result."""
-    outcomes = []
-    for x in share:
-        try:
-            outcomes.append(fn(x))
-        except Exception as exc:
-            outcomes.append(exc)
-            break
-    return outcomes
-
-
 def _forked_map(fn, items):
     """[fn(x) for x in items] on W processes; raises the first exception in
     input order.
 
     W is the number of usable CPUs, at most len(items), and 1 without
-    os.fork. Process j takes items[j::W]: this process share 0, and W - 1
-    forked children the others. The children inherit fn and items through
-    fork, so neither needs to pickle; each sends back its list of results
-    (or exception) through a pipe and leaves by os._exit. Every child is
-    reaped before this returns or raises.
+    os.fork. This process and W - 1 forked children take the items in input
+    order from one queue, each the next untaken one whenever it is free, so
+    a process on a slow CPU runs fewer of them. A process that raises takes
+    the rest off the queue: the others finish the item in hand and start no
+    other. The children inherit fn and items through fork, so neither needs
+    to pickle; a child sends the index of each item it takes, then its
+    result (or exception), through a pipe, and leaves by os._exit. Every
+    child is reaped before this returns or raises.
     """
     import pickle
     import signal
@@ -148,16 +138,34 @@ def _forked_map(fn, items):
     n = len(items)
     w = min(_usable_cpus(), n) if hasattr(os, "fork") else 1
     outcomes = [None] * n
+    # The queue: a pipe of 4-byte tickets, each the first of `per` items,
+    # all written before the first fork. A 4-byte read takes one whole
+    # ticket, so each goes to one process. At most 1024 tickets (4 KiB):
+    # the write never waits for a reader.
+    per = n // 1024 + 1
+    queue, wr = os.pipe()
+    os.write(wr, b"".join(k.to_bytes(4, "little") for k in range(0, n, per)))
+    os.close(wr)
 
-    def place(j, share):
-        for i, out in zip(range(j, n, w), share):
-            outcomes[i] = out
+    def run(started, finished):
+        while ticket := os.read(queue, 4):
+            k = int.from_bytes(ticket, "little")
+            for i in range(k, min(k + per, n)):
+                started(i)
+                try:
+                    out = fn(items[i])
+                except Exception as exc:
+                    while os.read(queue, 4096):
+                        pass
+                    finished(i, exc)
+                    return
+                finished(i, out)
 
-    children = []  # (pid, read end, j), not yet reaped
+    children = []  # (pid, read end), not yet reaped
     sys.stdout.flush()
     sys.stderr.flush()
     try:
-        for j in range(1, w):
+        for _ in range(1, w):
             r, wr = os.pipe()
             pid = os.fork()
             if pid == 0:  # the child: never returns from here
@@ -165,36 +173,45 @@ def _forked_map(fn, items):
                 try:
                     os.close(r)
                     with os.fdopen(wr, "wb") as pipe:
-                        pickle.dump(_run_share(fn, items[j::w]), pipe)
+                        def send(obj):
+                            pipe.write(pickle.dumps(obj))
+                            pipe.flush()
+                        run(send, lambda i, out: send(out))
                     sys.stderr.flush()
                     status = 0
                 finally:
                     os._exit(status)
             os.close(wr)
-            children.append((pid, os.fdopen(r, "rb"), j))
-        place(0, _run_share(fn, items[0::w]))
+            children.append((pid, os.fdopen(r, "rb")))
+        run(lambda i: None, outcomes.__setitem__)
         while children:
-            pid, pipe, j = children[0]
-            try:
-                share = pickle.load(pipe)
-            except Exception:
-                share = None
+            pid, pipe = children[0]
+            lost = None
+            while True:
+                try:
+                    i = pickle.load(pipe)
+                except Exception:  # the end of the pipe: no item in hand
+                    break
+                try:
+                    outcomes[i] = pickle.load(pipe)
+                except Exception:  # the child ended while running item i
+                    lost = i
+                    break
             pipe.close()
             _, status = os.waitpid(pid, 0)
             children.pop(0)
-            if share is None:
+            if lost is not None:
                 code = os.waitstatus_to_exitcode(status)
                 how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-                inputs = ", ".join(str(i + 1) for i in range(j, n, w))
-                share = [SmcError(f"the process running input(s) {inputs} of {n} "
-                                  f"ended without a result ({how})")]
-            place(j, share)
+                outcomes[lost] = SmcError(f"the process running input {lost + 1} of {n} "
+                                          f"ended without a result ({how})")
     except BaseException:
-        for pid, _, _ in children:
+        for pid, _ in children:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for pid, pipe, _ in children:
+        os.close(queue)
+        for pid, pipe in children:
             pipe.close()
             os.waitpid(pid, 0)
     for out in outcomes:

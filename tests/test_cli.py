@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -326,6 +327,13 @@ def compare_on(monkeypatch, capsys, w, files, out):
     return rc, cap.out, cap.err, len(forks)
 
 
+def wait_for(cond, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not cond():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -334,7 +342,7 @@ def assert_no_child_left():
 class TestForkedCompare:
     @pytest.mark.parametrize("n, w", [(2, 2), (4, 2), (4, 3)])
     def test_outputs_identical_to_one_process(self, tmp_path, monkeypatch, capsys, n, w):
-        # At 4 scenarios and w = 3 the shares are uneven: [0, 3], [1], [2].
+        # At 4 scenarios and w = 3 one process runs two scenarios.
         files = compare_files(tmp_path)[:n]
         one = compare_on(monkeypatch, capsys, 1, files, tmp_path / "one")
         many = compare_on(monkeypatch, capsys, w, files, tmp_path / "many")
@@ -372,20 +380,77 @@ class TestForkedCompare:
         assert (rc, forks) == (0, 1), err
         assert "lowest chattering_index" in out
 
-    def test_child_without_result_exits_2(self, tmp_path, monkeypatch, capsys):
+    def test_slow_process_runs_fewer(self, tmp_path, monkeypatch, capsys):
+        # This process holds its first scenario until the child has run the
+        # other three: the queue hands each to whichever process is free.
         parent, run = os.getpid(), cli.run_scenario
+        done = tmp_path / "done"
+        done.mkdir()
+
+        def recording(sc):
+            if os.getpid() == parent:
+                wait_for(lambda: len(list(done.iterdir())) == 3)
+            log = run(sc)
+            (done / f"{sc.name}.{os.getpid()}").touch()
+            return log
+
+        files = compare_files(tmp_path)
+        one = compare_on(monkeypatch, capsys, 1, files, tmp_path / "one")
+        monkeypatch.setattr(cli, "run_scenario", recording)
+        many = compare_on(monkeypatch, capsys, 2, files, tmp_path / "many")
+        assert one[:3] == many[:3] and one[0] == 0
+        pids = [p.suffix for p in done.iterdir()]
+        assert sorted(pids.count(pid) for pid in set(pids)) == [1, 3]
+        for name in os.listdir(tmp_path / "one"):
+            assert (tmp_path / "one" / name).read_bytes() == \
+                (tmp_path / "many" / name).read_bytes(), name
+        assert_no_child_left()
+
+    def test_child_without_result_exits_2(self, tmp_path, monkeypatch, capsys):
+        # This process holds its first scenario until the child has ended, so
+        # the child takes one of the first two.
+        parent, run = os.getpid(), cli.run_scenario
+        died = tmp_path / "died"
 
         def dying(sc):
             if os.getpid() != parent:
+                died.touch()
                 os._exit(7)
+            wait_for(died.exists)
             return run(sc)
 
         monkeypatch.setattr(cli, "run_scenario", dying)
         files = compare_files(tmp_path, t_end=1.0)[:3]
         rc, out, err, _ = compare_on(monkeypatch, capsys, 2, files, tmp_path)
         assert (rc, out) == (2, "")
-        assert err == "error: the process running input(s) 2 of 3 ended without a result " \
-                      "(exit status 7)\n"
+        assert err in [f"error: the process running input {i} of 3 ended without a result "
+                       "(exit status 7)\n" for i in (1, 2)]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_no_scenario_starts_after_a_failure(self, tmp_path, monkeypatch, capsys, w):
+        # The failing scenario is first; at w = 2 the other process may have
+        # taken the second before the failure, but no process takes a third.
+        run = cli.run_scenario
+        started = tmp_path / "started"
+        started.mkdir()
+
+        def failing(sc):
+            (started / sc.name).touch()
+            if sc.name == "fails":
+                raise ControllabilityError("g vanished")
+            return run(sc)
+
+        monkeypatch.setattr(cli, "run_scenario", failing)
+        cfg = load_config(preset_path(TRIO[0]))
+        cfg["integration"]["t_end"] = 0.5
+        files = []
+        for name in ("fails", "ok1", "ok2", "ok3", "ok4"):
+            cfg["name"] = name
+            files.append(write_scenario(tmp_path, cfg, name + ".json"))
+        rc, out, err, _ = compare_on(monkeypatch, capsys, w, files, tmp_path / "out")
+        assert (rc, out, err) == (2, "", "error: g vanished\n")
+        assert {"fails"} <= set(os.listdir(started)) <= {"fails", "ok1"}
         assert_no_child_left()
 
     @pytest.mark.parametrize("w", [1, 2])
@@ -393,8 +458,8 @@ class TestForkedCompare:
                                              (("ok", "fails", "diverges"), 2)])
     def test_first_failure_in_input_order_decides(self, tmp_path, monkeypatch, capsys,
                                                   w, order, code):
-        # At w = 2 this process runs inputs 1 and 3 and the child input 2,
-        # so the later failure is the one this process sees itself.
+        # At w = 2 the two processes take inputs 1 and 2; the failure at
+        # input 2 stops the queue, so input 3 is never started.
         run = cli.run_scenario
 
         def failing(sc):
