@@ -9,7 +9,6 @@ from .core import (  # noqa: F401
     adaptation_shape,
     delta_surface,
     overshoot_bound,
-    reach_time_bound,
     sat,
     sgn,
     ultimate_band,

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from .config import (
     list_presets,
@@ -18,6 +19,7 @@ from .config import (
 )
 from .core import ultimate_band
 from .errors import ConfigError, SimulationDiverged, SmcError
+from . import sim
 from .sim import (
     compute_metrics,
     csv_precision,
@@ -75,29 +77,41 @@ def _overrides(args):
     return ov
 
 
+def _load(arg, overrides=None):
+    """load_scenario on a file or preset name; each warning raised meanwhile
+    is shown as one line, "warning: <path>: <section>: <text>"."""
+    path = resolve_scenario(arg)
+    shown = warnings.formatwarning
+    warnings.formatwarning = (lambda message, category, *_: f"warning: {path}: "
+                              f"{getattr(message, 'section', category.__name__)}: {message}\n")
+    try:
+        with warnings.catch_warnings():  # shows again what an earlier scenario showed
+            return load_scenario(path, overrides=overrides)
+    finally:
+        warnings.formatwarning = shown
+
+
 def _certify(scenario, log):
     """Certificate bounds of a delta-adaptive run and its ultimate-bound check
     (None when b is not finite: at k = 0, where the decay rate is undefined,
     or where a tiny k or k*rho makes sigma/k inf), with v0 = V'(0)."""
-    c = scenario.config["controller"]
-    mu, k = scenario.plant.true_bound, c["k"]
-    bounds, ob = certificate_summary(mu, c["rho"], c["phi"], k, v0=float(log.Vprime[0]))
+    ctl, mu = scenario.controller, scenario.plant.true_bound
+    bounds, ob = certificate_summary(mu, ctl.rho, ctl.phi, ctl.k, v0=float(log.Vprime[0]))
     check = None
     if math.isfinite(bounds.b):  # NaN at k = 0
-        check = verify_ultimate_bound(log, k, c["rho"], mu, bounds.b)
+        check = verify_ultimate_bound(log, ctl.k, ctl.rho, mu, bounds.b)
     return bounds, ob, check
 
 
 def cmd_run(args):
     precision = csv_precision()
-    path = resolve_scenario(args.scenario)
-    scenario = load_scenario(path, overrides=_overrides(args))
+    scenario = _load(args.scenario, _overrides(args))
     log = run_scenario(scenario)
-    ctl = scenario.config["controller"]
-    metrics = compute_metrics(log, ctl.get("phi"))
+    ctl = scenario.controller
+    metrics = compute_metrics(log, getattr(ctl, "phi", None))
 
     extra = {}
-    if ctl["kind"] == "delta_adaptive" and scenario.plant.true_bound is not None:
+    if ctl.kind == "delta_adaptive" and scenario.plant.true_bound is not None:
         bounds, _, r2 = _certify(scenario, log)
         if r2 is not None:
             # Outside the certificate's preconditions there is nothing to satisfy.
@@ -224,7 +238,7 @@ def cmd_compare(args):
     if len(args.scenarios) < 2:
         raise ConfigError("compare needs at least two scenario files")
     precision = csv_precision()
-    scenarios = [load_scenario(resolve_scenario(p)) for p in args.scenarios]
+    scenarios = [_load(p) for p in args.scenarios]
 
     shared = None
     for sc in scenarios:
@@ -238,9 +252,8 @@ def cmd_compare(args):
             )
 
     # The first delta-adaptive phi, else the first phi.
-    ctls = sorted((sc.config["controller"] for sc in scenarios),
-                  key=lambda c: c["kind"] != "delta_adaptive")
-    phi = next((c["phi"] for c in ctls if "phi" in c), None)
+    ctls = sorted((sc.controller for sc in scenarios), key=lambda c: c.kind != "delta_adaptive")
+    phi = next((c.phi for c in ctls if hasattr(c, "phi")), None)
 
     def run_one(sc):
         # run_scenario is read from cli's globals at each call, so a wrapper
@@ -267,12 +280,11 @@ def cmd_compare(args):
 
 
 def cmd_verify(args):
-    path = resolve_scenario(args.scenario)
-    scenario = load_scenario(path, overrides=_overrides(args))
-    p = scenario.config["controller"]
-    if p["kind"] != "delta_adaptive":
+    scenario = _load(args.scenario, _overrides(args))
+    ctl = scenario.controller
+    if ctl.kind != "delta_adaptive":
         raise ConfigError("verify requires a scenario using the delta_adaptive controller")
-    eta = ultimate_band(p["phi"])
+    eta = ultimate_band(ctl.phi)
     print(f"eta = {eta:.9g}")
 
     mu = scenario.plant.true_bound
@@ -282,6 +294,7 @@ def cmd_verify(args):
 
     log = run_scenario(scenario)
     bounds, ob, r2 = _certify(scenario, log)
+    factor = f"{1.0 + sim.CERTIFICATE_TOL:g}"  # each check's limit is this times b or delta
     print(f"sigma = {_fmt(bounds.sigma)}  T = {_fmt(bounds.T)}  b = {_fmt(bounds.b)}")
     if ob.feasible:
         print(f"m = {ob.m:.9g}  delta = {ob.delta:.9g}")
@@ -290,25 +303,25 @@ def cmd_verify(args):
 
     if r2 is not None:
         status = "not applicable" if not r2.applicable else ("pass" if r2.holds else "FAIL")
-        detail = f"max V' after T = {_fmt(r2.max_vprime_after)} vs 1.05*b = {_fmt(1.05 * r2.b)}"
+        detail = f"max V' after T = {_fmt(r2.max_vprime_after)} vs {factor}*b = {_fmt(r2.limit)}"
         if r2.reason:
             detail += f" ({r2.reason})"
         print(f"ultimate-bound check: {status}  {detail}")
-    elif p["k"] == 0.0:
+    elif ctl.k == 0.0:
         print("ultimate-bound check: not applicable (k = 0, decay rate undefined)")
     else:
         print(f"ultimate-bound check: not applicable (sigma = {_fmt(bounds.sigma)}, "
-              f"b = {_fmt(bounds.b)}: not finite at k*rho = {_fmt(p['k'] * p['rho'])})")
+              f"b = {_fmt(bounds.b)}: not finite at k*rho = {_fmt(ctl.k * ctl.rho)})")
 
-    r3 = verify_band_excursion(log, ob.m, ob.delta, p["phi"])
+    r3 = verify_band_excursion(log, ob.m, ob.delta, ctl.phi)
     if not r3.applicable:
         print(f"excursion-bound check: not applicable ({r3.reason})")
     else:
         status = "pass" if r3.holds else "FAIL"
         print(f"excursion-bound check: {status}  max |s| after band entry = "
-              f"{r3.max_excursion:.6g} vs 1.05*delta = {1.05 * r3.delta:.6g}")
+              f"{r3.max_excursion:.6g} vs {factor}*delta = {r3.limit:.6g}")
 
-    trace = lyapunov_trace(log, mu, p["rho"], p["phi"], p["k"])
+    trace = lyapunov_trace(log, mu, ctl.rho, ctl.phi, ctl.k)
     checked = int(trace.checked.sum())
     print(f"decay check outside the band: {checked - len(trace.violations)}/{checked} rows "
           f"within certificate (+slack); {len(trace.isolated_violations)} violations away "

@@ -224,10 +224,10 @@ def _utkin_defaults(ctl, mu, dt):
         ctl["M"] = 2.0 * ctl["nu"] * ctl["K_plus"]
 
 
-def normalize_config(raw, path_hint="scenario"):
+def normalize_config(raw):
     """Validate a raw scenario dict and return the canonical form."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path_hint}: top level must be an object")
+        raise ConfigError("scenario: top level must be an object")
     _known_keys(raw, {"name", "note", "plant", "uncertainty", "controller",
                       "x0", "integration"}, "")
     out = _noted(raw, "", {"name": _str(raw, "name", "")})
@@ -265,9 +265,8 @@ def _warn_off_grid(sig, dt):
         q = value / dt
         if not math.isfinite(q) or abs(q - round(q)) > 1e-9 * abs(q):
             warnings.warn(
-                f"square_sequence {label} {value!r} is not a multiple of dt = {dt!r}; "
-                f"edges fall between samples",
-                TuningWarning,
+                TuningWarning(f"square_sequence {label} {value!r} is not a multiple of "
+                              f"dt = {dt!r}; edges fall between samples", "uncertainty"),
                 stacklevel=3,
             )
 
@@ -315,9 +314,9 @@ def build_scenario(config, base_dir=".") -> Scenario:
         per_crossing = 2.0 * eta / (crossing_speed * settings.dt)
         if per_crossing < 4.0:
             warnings.warn(
-                f"only {per_crossing:.2f} samples fit a worst-case band crossing "
-                f"(rule of thumb wants >= 4); consider a smaller dt or larger phi",
-                TuningWarning,
+                TuningWarning(f"only {per_crossing:.2f} samples fit a worst-case band crossing "
+                              f"(rule of thumb wants >= 4); consider a smaller dt or larger phi",
+                              "integration"),
                 stacklevel=2,
             )
 
@@ -349,11 +348,6 @@ def load_scenario(path, overrides=None) -> Scenario:
         raw = dict(raw)
         raw["integration"] = integ
     return build_scenario(raw, base_dir=os.path.dirname(os.path.abspath(path)))
-
-
-def serialize_config(cfg) -> str:
-    """Canonical JSON text of a normalized configuration."""
-    return json.dumps(normalize_config(cfg), indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

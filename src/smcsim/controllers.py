@@ -159,9 +159,8 @@ class DeltaAdaptiveSMC:
         limit = 1.0 / ultimate_band(phi)
         if k > limit:
             warnings.warn(
-                f"feedback gain k = {k:g} exceeds 1/eta = {limit:g}; "
-                "the adaptation may stall inside the band",
-                TuningWarning,
+                TuningWarning(f"feedback gain k = {k:g} exceeds 1/eta = {limit:g}; "
+                              "the adaptation may stall inside the band", "controller"),
                 stacklevel=2,
             )
         self.reset()

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ParameterError, PreconditionError
+from .errors import ParameterError
 
 # (sqrt(2) - 1): ratio between the ultimate band eta and the layer width phi.
 BAND_RATIO = math.sqrt(2.0) - 1.0
@@ -108,29 +108,6 @@ def _certificate(mu, rho, k, v0, b=None):
     return sigma, floor, b, (math.log(ratio) / k if ratio > 0.0 else math.nan)
 
 
-def reach_time_bound(v0, k, rho, mu, b) -> float:
-    """Time after which |s| + gain/k is guaranteed below b.
-
-    Checks the arguments and the certificate's preconditions, then returns
-    the T of _certificate. Requires sigma/k < b <= v0; T = 0 at b = v0 and
-    grows without bound as b approaches sigma/k from above.
-    """
-    _require_positive("k", k)
-    _require_positive("rho", rho)
-    if mu < 0.0 or not math.isfinite(mu):
-        raise ParameterError(f"mu must be finite and >= 0, got {mu!r}")
-    _, floor, _, T = _certificate(mu, rho, k, v0, b)
-    if v0 <= floor:
-        raise PreconditionError(
-            f"initial level v0 = {v0!r} must exceed sigma/k = {floor!r}"
-        )
-    if not (floor < b <= v0):
-        raise PreconditionError(
-            f"bound b = {b!r} must lie in (sigma/k, v0] = ({floor!r}, {v0!r}]"
-        )
-    return T
-
-
 class OvershootBound(NamedTuple):
     """Feasible oscillator stiffness and the excursion bound it certifies."""
 
@@ -139,13 +116,15 @@ class OvershootBound(NamedTuple):
     feasible: bool
 
 
-def overshoot_bound(mu, rho, phi, tol: float = 1e-10) -> OvershootBound:
+def overshoot_bound(mu, rho, phi) -> OvershootBound:
     """Largest feasible stiffness m and the excursion bound delta it yields.
 
     m must satisfy m < sqrt(2)/(rho*phi) and
     mu*sqrt(m) <= (1/rho)*adaptation_shape(eta + mu/sqrt(m)); the bound is
     delta = sqrt((2*eta)**2 + mu**2/m) - eta, which tightens as m grows, so
-    the largest m is found by bisection (absolute tolerance ``tol``).
+    the largest m is found by bisection, to an absolute 1e-10 or until no
+    float lies between the two ends (above m = 2**19 floats are further
+    apart than 1e-10; the ceiling is inf when rho*phi underflows to 0).
     Returns feasible=False instead of raising when no m survives (large
     mu*rho/phi pushes the feasible set below the tolerance).
     """
@@ -163,8 +142,10 @@ def overshoot_bound(mu, rho, phi, tol: float = 1e-10) -> OvershootBound:
         return mu * root <= adaptation_shape(eta + mu / root, phi) / rho
 
     lo, hi = 0.0, m_sup
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if ok(mid):
             lo = mid
         else:

@@ -13,10 +13,6 @@ class DomainError(SmcError, ValueError):
     """An input lies outside the mathematical domain of an operation."""
 
 
-class PreconditionError(SmcError, ValueError):
-    """A stated precondition of a bound or theorem check is not met."""
-
-
 class ControllabilityError(SmcError, RuntimeError):
     """The control channel gain g(x, t) vanished on the trajectory."""
 
@@ -52,4 +48,9 @@ class SimulationDiverged(SmcError, RuntimeError):
 
 
 class TuningWarning(UserWarning):
-    """Parameter choice is valid but outside the recommended tuning range."""
+    """Parameter choice is valid but outside the recommended tuning range;
+    ``section`` names the scenario-file section it concerns."""
+
+    def __init__(self, message, section):
+        super().__init__(message)
+        self.section = section

@@ -40,6 +40,8 @@ from .plants import BLOCK
 
 CSV_PRECISION_ENV = "SMCSIM_CSV_PRECISION"
 
+CERTIFICATE_TOL = 0.05  # the bound checks allow (1 + this) times the certified level
+
 
 @dataclass(frozen=True)
 class IntegrationSettings:
@@ -229,7 +231,7 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
             s_blk, gain_blk = s_arr[c0:c1], gain_arr[c0:c1]
             v_arr[c0:c1] = lyapunov_value(s_blk, gain_blk, mu, lyap.rho, lyap.phi)
             if lyap.k > 0.0:
-                vp_arr[c0:c1] = np.abs(s_blk) + gain_blk / lyap.k
+                vp_arr[c0:c1] = lyapunov_vprime(s_blk, gain_blk, lyap.k)
         # Free this block's inputs before the next block builds its own, so
         # that two blocks' worth never coexist at the memory peak.
         del w_start, w_mid, w_end
@@ -427,6 +429,12 @@ def lyapunov_value(s, gain, mu, rho, phi):
     return core.delta_surface(np.abs(s), phi) + 0.5 * rho * e * e
 
 
+def lyapunov_vprime(s, gain, k):
+    """V' = |s| + gain/k, elementwise, the level the reach-time certificate
+    bounds; k > 0 is the caller's duty."""
+    return np.abs(s) + gain / k
+
+
 def lyapunov_decay_bound(a, phi, k):
     """The certificate -k*|s|*core.adaptation_shape(|s|, phi) on V-dot at
     |s| = a; it vanishes at |s| = eta."""
@@ -471,56 +479,46 @@ class UltimateBoundCheck:
     applicable: bool
     holds: Optional[bool]
     T: Optional[float]
-    sigma: float
-    v0: float
     b: float
+    limit: float
     max_vprime_after: Optional[float]
-    first_violation: Optional[float]
     reason: str = ""
 
 
-def verify_ultimate_bound(log: TrajectoryLog, k, rho, mu, b, tol=0.05) -> UltimateBoundCheck:
-    """Check |s| + gain/k <= b*(1+tol) for all logged t >= T.
+def verify_ultimate_bound(log: TrajectoryLog, k, rho, mu, b) -> UltimateBoundCheck:
+    """Check V' <= limit = b*(1 + CERTIFICATE_TOL) for all logged t >= T.
 
     ``applicable`` reports whether the certificate's own preconditions hold
-    (v0 > sigma/k and sigma/k < b < v0); the inequality is still measured
-    whenever the T formula is defined, since the certificate may hold outside
-    its sufficient conditions. sigma, sigma/k and T come from
+    (v0 = V'(0) > sigma/k and sigma/k < b < v0); the inequality is still
+    measured whenever the T formula is defined, since the certificate may
+    hold outside its sufficient conditions. sigma/k and T come from
     core._certificate; a negative T (b above v0) counts as 0. The rows from
     T on start at the first t >= T, found by bisection on the ascending t.
     """
+    limit = b * (1.0 + CERTIFICATE_TOL)
     if k <= 0.0 or rho <= 0.0:
-        return UltimateBoundCheck(False, None, None, math.nan, math.nan, b,
-                                  None, None, "k and rho must be positive")
-
-    def vprime(c0, c1):
-        return np.abs(log.s[c0:c1]) + log.gain[c0:c1] / k
-
-    v0 = float(vprime(0, 1)[0])
-    sigma, floor, _, T = core._certificate(mu, rho, k, v0, b)
+        return UltimateBoundCheck(False, None, None, b, limit, None,
+                                  "k and rho must be positive")
+    v0 = float(lyapunov_vprime(log.s[0], log.gain[0], k))
+    _, floor, _, T = core._certificate(mu, rho, k, v0, b)
     applicable = v0 > floor and floor < b < v0
     reason = "" if applicable else (
         f"initial level v0 = {v0:.6g} does not satisfy v0 > sigma/k = {floor:.6g} "
         f"with sigma/k < b < v0"
     )
     if math.isnan(T):
-        return UltimateBoundCheck(applicable, None, None, sigma, v0, b, None, None,
+        return UltimateBoundCheck(applicable, None, None, b, limit, None,
                                   reason or "reach-time formula undefined for this b")
     T = T if T > 0.0 else 0.0  # b above v0: bounded from the start
     i0 = int(np.searchsorted(log.t, T))
     if i0 == len(log):
-        return UltimateBoundCheck(applicable, None, T, sigma, v0, b, None, None,
+        return UltimateBoundCheck(applicable, None, T, b, limit, None,
                                   reason or "horizon ends before T")
-    limit = b * (1.0 + tol)
-    first, peak = None, -math.inf
+    peak = -math.inf
     for c0, c1 in _chunks(i0, len(log)):
-        vp = vprime(c0, c1)
-        peak = np.maximum(peak, vp.max())
-        if first is None:
-            bad = np.flatnonzero(vp > limit)
-            first = float(log.t[c0 + bad[0]]) if bad.size else None
-    return UltimateBoundCheck(applicable, first is None, T, sigma, v0, b,
-                              float(peak), first, reason)
+        peak = np.maximum(peak, lyapunov_vprime(log.s[c0:c1], log.gain[c0:c1], k).max())
+    # A NaN peak holds, as no row then compares above the limit.
+    return UltimateBoundCheck(applicable, not peak > limit, T, b, limit, float(peak), reason)
 
 
 @dataclass
@@ -530,33 +528,35 @@ class ExcursionBoundCheck:
     entry_time: Optional[float]
     max_excursion: Optional[float]
     delta: float
+    limit: float
     reason: str = ""
 
 
-def verify_band_excursion(log: TrajectoryLog, m, delta, phi, tol=0.05) -> ExcursionBoundCheck:
-    """Check max |s(t)| < delta*(1+tol) after the first entry into |s| < eta."""
+def verify_band_excursion(log: TrajectoryLog, m, delta, phi) -> ExcursionBoundCheck:
+    """Check max |s(t)| < limit = delta*(1 + CERTIFICATE_TOL) after the first
+    entry into |s| < eta."""
+    limit = delta * (1.0 + CERTIFICATE_TOL)
     if not (math.isfinite(m) and math.isfinite(delta)):
-        return ExcursionBoundCheck(False, None, None, None, delta,
+        return ExcursionBoundCheck(False, None, None, None, delta, limit,
                                    "no feasible oscillator stiffness m")
     i1, exc = _band_entry(log.s, ultimate_band(phi))
     if i1 is None:
-        return ExcursionBoundCheck(False, None, None, None, delta,
+        return ExcursionBoundCheck(False, None, None, None, delta, limit,
                                    "trajectory never reached the band within the horizon")
-    return ExcursionBoundCheck(True, exc < delta * (1.0 + tol), float(log.t[i1]), exc, delta)
+    return ExcursionBoundCheck(True, exc < limit, float(log.t[i1]), exc, delta, limit)
 
 
-def certificate_summary(mu, rho, phi, k, v0=None, b=None):
+def certificate_summary(mu, rho, phi, k, v0):
     """The certificate bounds (sigma, T, b) and the overshoot bound (m, delta)
     for reports.
 
-    sigma, T and b come from core._certificate: b defaults to the midpoint of
-    (sigma/k, v0), and T and that default are NaN without v0. sigma and T
-    are NaN unless k and rho are positive.
+    sigma, T and b come from core._certificate, b the midpoint of
+    (sigma/k, v0); all three are NaN unless k and rho are positive.
     """
-    sigma = T = math.nan
+    sigma = T = b = math.nan
     if k > 0.0 and rho > 0.0:
-        sigma, _, b, T = core._certificate(mu, rho, k, math.nan if v0 is None else v0, b)
+        sigma, _, b, T = core._certificate(mu, rho, k, v0)
     # Looked up on core at each call, so that a wrapper put on
     # core.overshoot_bound (perfbench's tracer) sees this call too.
     ob = core.overshoot_bound(mu, rho, phi)
-    return CertificateBounds(sigma=sigma, T=T, b=b if b is not None else math.nan), ob
+    return CertificateBounds(sigma=sigma, T=T, b=b), ob

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from smcsim import cli, config
+from smcsim import cli, config, sim
 from smcsim.cli import main
 from smcsim.config import load_config, preset_path
 from smcsim.errors import (ControllabilityError, ParameterError, SimulationDiverged,
@@ -275,6 +276,88 @@ class TestVerify:
         rc = main(["verify", "regulation-smooth-classical"])
         assert rc == 2
         assert "delta_adaptive" in capsys.readouterr().err
+
+    def test_tolerance_moves_verdict_and_printed_limit(self, tmp_path, capsys, monkeypatch):
+        # x0 = 3: the ultimate-bound certificate applies (v0 > sigma/k).
+        cfg = load_config(preset_path("regulation-smooth"))
+        cfg["x0"], cfg["integration"]["t_end"] = [3.0], 3.0
+        path = write_scenario(tmp_path, cfg)
+        checks = r"(pass|FAIL)  max V' after T = (\S+) vs (\S+)\*b = (\S+)$"
+        excursion = r"(pass|FAIL)  max \|s\| after band entry = (\S+) vs (\S+)\*delta = (\S+)$"
+        for tol, verdict in ((0.05, "pass"), (-0.999, "FAIL")):
+            monkeypatch.setattr(sim, "CERTIFICATE_TOL", tol)
+            assert main(["verify", path]) == 0
+            out = capsys.readouterr().out
+            b = float(re.search(r" b = (\S+)$", out, re.M).group(1))
+            delta = float(re.search(r" delta = (\S+)$", out, re.M).group(1))
+            for pattern, level in ((checks, b), (excursion, delta)):
+                status, peak, factor, limit = re.search(pattern, out, re.M).groups()
+                assert (status, factor) == (verdict, f"{1.0 + tol:g}")
+                assert math.isclose(float(limit), level * (1.0 + tol), rel_tol=1e-5)
+
+    def test_small_rho_ends(self, tmp_path):
+        # The overshoot bisection's bracket is wider than 2**19 here.
+        path = short_smooth(tmp_path, t_end=1.0, rho=1e-4)
+        res = smcsim_cli("verify", path)
+        assert res.returncode == 0, res.stderr
+        assert re.search(r"^m = \S+  delta = \S+$", res.stdout, re.M)
+        res = smcsim_cli("run", path, "--out", str(tmp_path / "out"))
+        assert res.returncode == 0, res.stderr
+
+
+def smcsim_cli(*argv, timeout=60):
+    """`python -m smcsim *argv` in a child process, this package first on the path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-m", "smcsim", *argv], capture_output=True,
+                          text=True, timeout=timeout, env=env)
+
+
+class TestLoadWarnings:
+    """The commands show each load-time TuningWarning as one line naming the
+    scenario file and the section it concerns."""
+
+    def test_large_k(self, tmp_path):
+        path = short_smooth(tmp_path, t_end=0.5, k=500.0)
+        res = smcsim_cli("verify", path)
+        assert res.returncode == 0
+        assert res.stderr == (f"warning: {path}: controller: feedback gain k = 500 exceeds "
+                              "1/eta = 241.421; the adaptation may stall inside the band\n")
+
+    def off_grid_square(self, tmp_path, name, kind="delta_adaptive"):
+        cfg = load_config(preset_path("regulation-square"))
+        cfg["uncertainty"]["half_period"] = 2.50005
+        cfg["integration"]["t_end"] = 0.5
+        if kind != "delta_adaptive":
+            cfg["controller"] = {"kind": kind, "K": 3.0}
+        cfg["name"] = name
+        return write_scenario(tmp_path, cfg, name + ".json")
+
+    def test_off_grid_half_period(self, tmp_path):
+        path = self.off_grid_square(tmp_path, "square")
+        res = smcsim_cli("verify", path)
+        assert res.returncode == 0
+        assert res.stderr == (f"warning: {path}: uncertainty: square_sequence half_period "
+                              "2.50005 is not a multiple of dt = 0.0001; edges fall between "
+                              "samples\n")
+
+    def test_compare_names_each_scenario(self, tmp_path):
+        # The same text from two files is shown twice, once per file.
+        paths = [self.off_grid_square(tmp_path, "a"),
+                 self.off_grid_square(tmp_path, "b", kind="classical")]
+        res = smcsim_cli("compare", *paths, "--out", str(tmp_path / "out"))
+        assert res.returncode == 0, res.stderr
+        assert res.stderr.splitlines() == [
+            f"warning: {p}: uncertainty: square_sequence half_period 2.50005 is not a "
+            "multiple of dt = 0.0001; edges fall between samples" for p in paths]
+
+    def test_library_callers_still_get_the_warning(self, tmp_path):
+        with pytest.warns(TuningWarning) as caught:
+            config.load_scenario(short_smooth(tmp_path, t_end=0.5, k=500.0))
+        assert [(w.message.section, str(w.message)) for w in caught] == [
+            ("controller", "feedback gain k = 500 exceeds 1/eta = 241.421; the adaptation "
+                           "may stall inside the band")]
 
 
 class TestPresetsCommand:

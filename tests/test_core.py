@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,16 +12,17 @@ from smcsim.core import (
     adaptation_shape,
     delta_surface,
     overshoot_bound,
-    reach_time_bound,
     sat,
     sgn,
     ultimate_band,
 )
-from smcsim.errors import ParameterError, PreconditionError
+from smcsim.errors import ParameterError
+from smcsim.sim import TrajectoryLog, verify_ultimate_bound
 
 from oracles import worst_case_response
 
 RNG_SEED = 20260810
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 class TestSgn:
@@ -107,34 +111,54 @@ class TestCertificateArithmetic:
         assert math.isnan(b) and math.isnan(T)
 
 
+def flat_log(v0, n=11, dt=0.1):
+    """A log whose V' = |s| + gain/k is v0 on every row, whatever k."""
+    return TrajectoryLog(t=np.arange(n) * dt, x=np.zeros((n, 1)), s=np.full(n, v0),
+                         u=np.zeros(n), gain=np.zeros(n), gain_rate=np.zeros(n),
+                         delta_f=np.zeros(n), V=np.zeros(n), Vprime=np.zeros(n),
+                         meta={"dt": dt})
+
+
 class TestReachTimeBound:
+    """T of core._certificate, and the certificate's preconditions
+    (sigma/k < b < v0, v0 > sigma/k), which verify_ultimate_bound judges:
+    outside them it reports the check not applicable."""
+
     def test_zero_at_top(self):
-        assert reach_time_bound(1.5, 2.0, 1.0, 0.5, 1.5) == 0.0
+        assert _certificate(0.5, 1.0, 2.0, 1.5, b=1.5)[3] == 0.0
 
     def test_worked_example(self):
         # sigma = 0.5 + 1/(2*1) = 1.0, sigma/k = 0.5,
         # T = 0.5*ln(0.5005/0.25) = 0.3470733404465144
-        T = reach_time_bound(1.0005, 2.0, 1.0, 0.5, 0.75)
+        T = _certificate(0.5, 1.0, 2.0, 1.0005, b=0.75)[3]
         assert math.isclose(T, 0.3470733404465144, rel_tol=1e-12)
 
     def test_pole_rejected(self):
-        with pytest.raises(PreconditionError):
-            reach_time_bound(1.0005, 2.0, 1.0, 0.5, 0.5)  # b == sigma/k
+        r = verify_ultimate_bound(flat_log(1.0005), 2.0, 1.0, 0.5, 0.5)  # b == sigma/k
+        assert (r.applicable, r.holds, r.T) == (False, None, math.inf)
+        assert "v0 = 1.0005 does not satisfy v0 > sigma/k = 0.5" in r.reason
 
     def test_b_above_v0_rejected(self):
-        with pytest.raises(PreconditionError):
-            reach_time_bound(1.0, 2.0, 1.0, 0.5, 1.1)
+        r = verify_ultimate_bound(flat_log(1.0), 2.0, 1.0, 0.5, 1.1)
+        assert not r.applicable
+        assert (r.T, r.holds, r.max_vprime_after) == (0.0, True, 1.0)  # measured all the same
 
     def test_infeasible_v0_rejected(self):
-        with pytest.raises(PreconditionError):
-            reach_time_bound(0.4, 2.0, 1.0, 0.5, 0.45)
+        r = verify_ultimate_bound(flat_log(0.4), 2.0, 1.0, 0.5, 0.45)
+        assert not r.applicable
+        assert "v0 = 0.4 does not satisfy v0 > sigma/k = 0.5" in r.reason
+        # v0 and b both below sigma/k: T is defined, and V' is measured after it
+        assert r.T == math.log(2.0) / 2.0 and r.holds is True
 
-    @pytest.mark.parametrize("k,rho,mu", [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, -0.1)])
+    @pytest.mark.parametrize("k,rho,mu", [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0)])
     def test_bad_parameters(self, k, rho, mu):
-        with pytest.raises(ParameterError):
-            reach_time_bound(10.0, k, rho, mu, 5.0)
+        r = verify_ultimate_bound(flat_log(10.0), k, rho, mu, 5.0)
+        assert (r.applicable, r.holds, r.reason) == (False, None, "k and rho must be positive")
 
     def test_monotone_in_b_and_v0(self):
+        def T(v0, k, rho, mu, b):
+            return _certificate(mu, rho, k, v0, b)[3]
+
         rng = np.random.default_rng(RNG_SEED)
         for _ in range(1000):
             k = rng.uniform(0.1, 5.0)
@@ -144,9 +168,9 @@ class TestReachTimeBound:
             v0 = floor + rng.uniform(0.1, 5.0)
             b1 = floor + rng.uniform(0.01, v0 - floor - 0.005)
             b2 = b1 + rng.uniform(1e-3, v0 - b1)
-            assert reach_time_bound(v0, k, rho, mu, b2) <= reach_time_bound(v0, k, rho, mu, b1)
+            assert T(v0, k, rho, mu, b2) <= T(v0, k, rho, mu, b1)
             v0_hi = v0 + rng.uniform(0.1, 2.0)
-            assert reach_time_bound(v0_hi, k, rho, mu, b1) >= reach_time_bound(v0, k, rho, mu, b1)
+            assert T(v0_hi, k, rho, mu, b1) >= T(v0, k, rho, mu, b1)
 
 
 class TestOvershootBound:
@@ -182,6 +206,26 @@ class TestOvershootBound:
         res = overshoot_bound(1e7, 1.0, 0.01)
         assert not res.feasible
         assert math.isnan(res.m) and math.isnan(res.delta)
+
+    def test_bisection_ends_where_floats_run_out(self):
+        # Above m = 2**19 adjacent floats lie more than 1e-10 apart, and the
+        # ceiling sqrt(2)/(rho*phi) is inf when rho*phi underflows; the
+        # bisection must end anyway. Run in a child so a hang fails the test.
+        code = ("from smcsim.core import overshoot_bound\n"
+                "for args in [(2.3, 1e-4, 0.01), (0.0, 1e-4, 0.01), (1.0, 1e-300, 1e-10)]:\n"
+                "    print(repr(tuple(overshoot_bound(*args))))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=60, env=env)
+        assert res.returncode == 0, res.stderr
+        tight, free, unbounded = (eval(line, {"nan": math.nan})
+                                  for line in res.stdout.splitlines())
+        assert tight[2] and math.isclose(tight[0], 1146820.44, rel_tol=1e-8)
+        # at mu = 0 every m below the ceiling is feasible: m is the float below it
+        assert free[2] and math.nextafter(free[0], math.inf) == math.sqrt(2.0) / (1e-4 * 0.01)
+        assert free[1] == pytest.approx(ultimate_band(0.01), rel=1e-12)
+        assert not unbounded[2] and math.isnan(unbounded[0])
 
     def test_bad_parameters(self):
         with pytest.raises(ParameterError):

@@ -382,6 +382,25 @@ class TestUltimateBound:
         assert not r.applicable
         assert r.holds is None
 
+    def test_pole_horizon_ends_before_T(self):
+        log = run_scenario(smooth_scenario(t_end=0.5))
+        k, rho, mu = 2.0, 1.0, 2.3
+        b = (mu + 1.0 / (k * rho)) / k  # sigma/k: T is infinite
+        r = verify_ultimate_bound(log, k, rho, mu, b)
+        assert r.T == math.inf
+        assert (r.applicable, r.holds, r.max_vprime_after) == (False, None, None)
+
+    def test_applicable_case_holds(self):
+        # x0 = 3 puts v0 = 3.0005 above sigma/k = 1.4, with b their midpoint.
+        log = run_scenario(smooth_scenario(t_end=5.0, x0=3.0))
+        k, rho, mu = 2.0, 1.0, 2.3
+        b = 0.5 * ((mu + 1.0 / (k * rho)) / k + log.Vprime[0])
+        r = verify_ultimate_bound(log, k, rho, mu, b)
+        assert r.applicable and r.reason == ""
+        assert math.isclose(r.T, math.log(2.0) / k, rel_tol=1e-12)
+        assert r.limit == b * 1.05
+        assert r.holds is True and r.max_vprime_after <= r.limit
+
 
 class TestBandExcursion:
     def test_preset_run_reports_excursion(self):
