@@ -22,7 +22,6 @@ from .errors import ConfigError, SimulationDiverged, SmcError
 from . import sim
 from .sim import (
     compute_metrics,
-    csv_precision,
     lyapunov_trace,
     run_scenario,
     certificate_summary,
@@ -51,10 +50,10 @@ def _metrics_lines(name, metrics):
                                        for key, value in metrics.as_dict().items()]
 
 
-def _write_outputs(out_dir, name, log, metrics, precision, extra=None):
+def _write_outputs(out_dir, name, log, metrics, extra=None):
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{name}.csv")
-    write_csv(log, csv_path, precision)
+    write_csv(log, csv_path)
     payload = {"meta": log.meta, "metrics": metrics.as_dict()}
     if extra:
         payload.update(extra)
@@ -104,7 +103,6 @@ def _certify(scenario, log):
 
 
 def cmd_run(args):
-    precision = csv_precision()
     scenario = _load(args.scenario, _overrides(args))
     log = run_scenario(scenario)
     ctl = scenario.controller
@@ -118,7 +116,7 @@ def cmd_run(args):
             metrics.ultimate_bound_satisfied = r2.holds if r2.applicable else None
             extra["ultimate_bound"] = {"applicable": r2.applicable, "holds": r2.holds,
                                        "T": r2.T, "b": r2.b, "sigma": bounds.sigma}
-    csv_path = _write_outputs(args.out, scenario.name, log, metrics, precision, extra)
+    csv_path = _write_outputs(args.out, scenario.name, log, metrics, extra)
     print(f"wrote {csv_path}")
     for line in _metrics_lines(scenario.name, metrics):
         print(line)
@@ -237,8 +235,12 @@ def _forked_map(fn, items):
 def cmd_compare(args):
     if len(args.scenarios) < 2:
         raise ConfigError("compare needs at least two scenario files")
-    precision = csv_precision()
     scenarios = [_load(p) for p in args.scenarios]
+    names = [sc.name for sc in scenarios]
+    for name in names:
+        if names.count(name) > 1:  # their processes would write the same files
+            raise ConfigError(f"compare needs distinct scenario names; {name!r} is used "
+                              f"{names.count(name)} times")
 
     shared = None
     for sc in scenarios:
@@ -261,7 +263,7 @@ def cmd_compare(args):
         # freed on return, before this process runs its next scenario.
         log = run_scenario(sc)
         metrics = compute_metrics(log, phi)
-        _write_outputs(args.out, sc.name, log, metrics, precision)
+        _write_outputs(args.out, sc.name, log, metrics)
         return sc.name, metrics
 
     rows = _forked_map(run_one, scenarios)

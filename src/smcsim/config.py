@@ -190,9 +190,18 @@ _CONTROLLERS = {
         lambda **c: DeltaAdaptiveSMC(**c)),
 }
 
-_INTEGRATION = {"dt": _opt(1e-4),
-                "substeps": functools.partial(_get, types=int, required=False, default=1),
-                "t_end": _opt(30.0)}
+
+def _substeps(d, key, path):
+    """The one accepted value, kept as a field so that files that state it
+    still load: the plant takes one RK4 step per sample."""
+    v = _get(d, key, path, types=int, required=False, default=1)
+    if v != 1:
+        _fail(_key(path, key), f"must be 1 (one RK4 step per sample; refine dt instead), "
+                               f"got {v!r}")
+    return v
+
+
+_INTEGRATION = {"dt": _opt(1e-4), "substeps": _substeps, "t_end": _opt(30.0)}
 
 
 def _signal(d, key, path):
@@ -274,14 +283,14 @@ def _warn_off_grid(sig, dt):
 def build_scenario(config, base_dir=".") -> Scenario:
     """Turn a raw or normalized scenario dict into a runnable Scenario.
 
-    Performs the load-time checks: signal bounds by dense sampling over the
-    horizon, square-wave edges on the dt grid, and the sample-rate rule of
-    thumb for the adaptive band (warn when fewer than about four samples fit
-    a worst-case band crossing).
+    Performs the load-time checks: signal bounds at BOUND_CHECK_SAMPLES
+    evenly spaced instants of the horizon whatever dt is, square-wave edges
+    on the dt grid, and the sample-rate rule of thumb for the adaptive band
+    (warn when fewer than about four samples fit a worst-case band crossing).
     """
     cfg = normalize_config(config)
     try:
-        settings = IntegrationSettings(**cfg["integration"])
+        settings = IntegrationSettings(cfg["integration"]["dt"], cfg["integration"]["t_end"])
     except ParameterError as exc:
         raise ConfigError(f"integration: {exc}") from exc
 

@@ -124,7 +124,9 @@ def overshoot_bound(mu, rho, phi) -> OvershootBound:
     delta = sqrt((2*eta)**2 + mu**2/m) - eta, which tightens as m grows, so
     the largest m is found by bisection, to an absolute 1e-10 or until no
     float lies between the two ends (above m = 2**19 floats are further
-    apart than 1e-10; the ceiling is inf when rho*phi underflows to 0).
+    apart than 1e-10). The ceiling is capped at the largest float, which it
+    exceeds when rho*phi is tiny; the bisection then also ends once the
+    midpoint overflows.
     Returns feasible=False instead of raising when no m survives (large
     mu*rho/phi pushes the feasible set below the tolerance).
     """
@@ -133,7 +135,8 @@ def overshoot_bound(mu, rho, phi) -> OvershootBound:
     _require_positive("rho", rho)
     _require_positive("phi", phi)
     eta = ultimate_band(phi)
-    m_sup = math.sqrt(2.0) / (rho * phi)
+    rp = rho * phi  # 0 when the product underflows
+    m_sup = min(math.sqrt(2.0) / rp, sys.float_info.max) if rp else sys.float_info.max
 
     def ok(m):
         if m <= 0.0:

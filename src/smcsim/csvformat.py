@@ -1,13 +1,14 @@
-"""Block formatter for trajectory CSVs: the bytes of ``"%.{P}g" % v``, built with numpy.
+"""Block formatter for trajectory CSVs: the bytes of ``"%.17g" % v``, built with numpy.
 
-``format_rows(block, precision)`` returns the CSV text of a 2-D float block,
-``,`` between values and ``\\n`` after each row, byte for byte what
-``np.savetxt(fmt="%.{P}g", delimiter=",")`` writes. Formatting one float at a
+``format_rows(block)`` returns the CSV text of a 2-D float block, ``,``
+between values and ``\\n`` after each row, byte for byte what
+``np.savetxt(fmt="%.17g", delimiter=",")`` writes. Formatting one float at a
 time with 17 digits takes about 1 us in CPython, because its dtoa takes the
 bignum path; here each block is formatted in a few dozen array operations.
 
-Exact digits. A finite v with 1e-10 <= |v| < min(1e15, 10**(P-1)) is M*2**e
-with M a 53-bit integer (``np.frexp``). Its P significant digits are
+Exact digits. With P = 17 significant digits, a finite v with
+1e-10 <= |v| < 1e15 is M*2**e with M a 53-bit integer (``np.frexp``). Its P
+digits are
 
     D = round_half_even(M * 5**p * 2**(e + p)),   p = P - 1 - k,
 
@@ -29,15 +30,19 @@ column; a keep mask drops the "-" of positive values, the trailing zeros
 (counted with a matching table) and a "." with nothing after it. The rows go
 back to the order of the values and one compress joins the kept bytes.
 
-Zeros are formatted in the same arrays. Every other value (non-finite, out of
-the exact range, or any value when P > 17) is formatted with ``%`` and placed
-in its row.
+Zeros are formatted in the same arrays. Every other value (non-finite or out
+of the exact range) is formatted with ``%`` and placed in its row.
 """
 
 import numpy as np
 
-MAX_EXACT_PRECISION = 17
-EXACT_MIN = 1e-10
+P = 17  # significant digits of every value
+# The exact range: below EXACT_MAX, k <= P - 1 and v < 2**50, so that p >= 0
+# and e + p < 0 in the digit step.
+EXACT_MIN, EXACT_MAX = 1e-10, 1e15
+# A row per value: up to P + 8 characters of %g (sign, P digits, ".",
+# "e-308"), then the separator.
+WIDTH = P + 9
 
 
 _U = np.uint64
@@ -51,13 +56,7 @@ _CHUNK = np.arange(10000, dtype=np.uint16)
 _DIGITS4 = _CHUNK[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10 + ord("0")
 _DIGITS4 = _DIGITS4.astype(np.uint8).view(np.uint32).ravel()
 _TZ4 = sum((_CHUNK % 10 ** j == 0).astype(np.int8) for j in range(1, 5))
-_ARANGE = np.arange(MAX_EXACT_PRECISION)
-
-
-def _exact_max(P):
-    """Upper end of the exact range: below it k <= P - 1 and v < 2**50, so
-    that p >= 0 and e + p < 0 in the digit step."""
-    return min(1e15, 10.0 ** (P - 1))
+_ARANGE = np.arange(P)
 
 
 def _scaled(M, e, p):
@@ -80,9 +79,9 @@ def _scaled(M, e, p):
     return q + (q1 & (np.minimum(below, one) | q) & one)
 
 
-def _digits(a, P):
+def _digits(a):
     """P significant digits D (10**(P-1) <= D < 10**P) and decimal exponent k
-    of each a in [EXACT_MIN, _exact_max(P))."""
+    of each a in [EXACT_MIN, EXACT_MAX)."""
     m, ex = np.frexp(a)
     M = (m * 2.0 ** 53).astype(_U)
     e = ex.astype(np.int64) - 53
@@ -112,9 +111,9 @@ def _chunks(y, n):
     return chunks
 
 
-def _layout(D, k, neg, P, width):
-    """Byte rows of ``width`` and their keep mask for digits D, exponents k
-    and signs neg, sorted by k; returns (rows, keep, order of the sort)."""
+def _layout(D, k, neg):
+    """Byte rows of WIDTH and their keep mask for digits D, exponents k and
+    signs neg, sorted by k; returns (rows, keep, order of the sort)."""
     order = np.argsort(k.astype(np.int8), kind="stable")
     ks = k[order]
     chunks = _chunks(D[order], (P + 3) // 4)
@@ -126,8 +125,8 @@ def _layout(D, k, neg, P, width):
         tz = _TZ4[c] + (c == 0) * tz
     nd = np.maximum(P - tz, 1)[:, None]
 
-    rows = np.empty((D.size, width), np.uint8)
-    keep = np.zeros((D.size, width), bool)
+    rows = np.empty((D.size, WIDTH), np.uint8)
+    keep = np.zeros((D.size, WIDTH), bool)
     rows[:, 0] = ord("-")
     keep[:, 0] = neg[order]
     cuts = [0, *(np.flatnonzero(np.diff(ks)) + 1).tolist(), D.size]
@@ -158,47 +157,39 @@ def _layout(D, k, neg, P, width):
     return rows, keep, order
 
 
-def block_rows(ncols, precision):
+def block_rows(ncols):
     """Rows per format_rows call that keep its largest temporaries, the byte
-    rows and keep mask of precision + 9 bytes a value, within 120 KiB: under
-    glibc's 128 KiB mmap threshold with room for allocator headers. A larger
+    rows and keep mask of WIDTH bytes a value, within 120 KiB: under glibc's
+    128 KiB mmap threshold with room for allocator headers. A larger
     temporary is mapped and faulted in afresh on every call, unless an
     earlier free of a larger block raised the threshold."""
-    return max(1, 120 * 1024 // (ncols * (precision + 9)))
+    return max(1, 120 * 1024 // (ncols * WIDTH))
 
 
-def format_rows(block, precision):
-    """CSV text of a 2-D float block, each value formatted as "%.{precision}g"."""
+def format_rows(block):
+    """CSV text of a 2-D float block, each value formatted as "%.17g"."""
     block = np.asarray(block, dtype=float)
     if block.size == 0:
         return b""
     ncols = block.shape[1]
-    P = precision
     v = block.ravel()
-    # A row per value: up to P + 8 characters of %g (sign, P digits, ".",
-    # "e-308"), then the separator.
-    width = P + 9
-    out = np.empty((v.size, width), np.uint8)
-    keep = np.empty((v.size, width), bool)
-    if P <= MAX_EXACT_PRECISION:
-        a = np.abs(v)
-        inside = (a >= EXACT_MIN) & (a < _exact_max(P))
-        # 2.0 stands in for the values printed by % below.
-        D, k = _digits(np.where(inside, a, 2.0), P)
-        zero = a == 0.0
-        D[zero] = 0
-        k[zero] = 0
-        rows, rows_keep, order = _layout(D, k, np.signbit(v), P, width)
-        # Back to the order of the values, a row at a time.
-        out.view(f"V{width}")[order] = rows.view(f"V{width}")
-        keep.view(f"V{width}")[order] = rows_keep.view(f"V{width}")
-        rest = np.flatnonzero(~(inside | zero))
-    else:
-        rest = np.arange(v.size)
+    out = np.empty((v.size, WIDTH), np.uint8)
+    keep = np.empty((v.size, WIDTH), bool)
+    a = np.abs(v)
+    inside = (a >= EXACT_MIN) & (a < EXACT_MAX)
+    # 2.0 stands in for the values printed by % below.
+    D, k = _digits(np.where(inside, a, 2.0))
+    zero = a == 0.0
+    D[zero] = 0
+    k[zero] = 0
+    rows, rows_keep, order = _layout(D, k, np.signbit(v))
+    # Back to the order of the values, a row at a time.
+    out.view(f"V{WIDTH}")[order] = rows.view(f"V{WIDTH}")
+    keep.view(f"V{WIDTH}")[order] = rows_keep.view(f"V{WIDTH}")
+    rest = np.flatnonzero(~(inside | zero))
     if rest.size:
-        fmt = f"%.{P}g"
-        text = np.array([fmt % x for x in v[rest].tolist()], dtype=f"S{width - 1}")
-        text = text.view(np.uint8).reshape(rest.size, width - 1)
+        text = np.array(["%.17g" % x for x in v[rest].tolist()], dtype=f"S{WIDTH - 1}")
+        text = text.view(np.uint8).reshape(rest.size, WIDTH - 1)
         out[rest, :-1] = text
         keep[rest, :-1] = text != 0
     out[:, -1] = ord(",")

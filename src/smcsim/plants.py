@@ -22,10 +22,11 @@ into a vectorized part and a scalar part:
                                     s-dynamics, logged for diagnostics
 
 The runner evaluates ``inputs`` and ``stage_inputs`` once per block of
-instants and calls the scalar methods per step: one ``sample`` per row and
-one ``advance`` per substep. ``advance`` writes the four RK4 stages of its
-``rhs`` inline, in the operation order of a generic RK4 over ``rhs``, so
-that the runner makes one plant call per substep; tests/test_equivalence.py
+instants and calls the scalar methods per row: one ``sample`` and one
+``advance`` over h = dt, the plant taking one RK4 step per sample.
+``advance`` writes the four RK4 stages of its ``rhs`` inline, in the
+operation order of a generic RK4 over ``rhs``, so that the runner makes one
+plant call per step; tests/test_equivalence.py
 pins it to ``rhs`` bit for bit. Plants have at most two states; a
 first-order plant ignores x2, returns 0.0 as its rate and leaves x2
 unchanged in ``advance``.

@@ -2,7 +2,7 @@
 
 The loop is zero-order hold: at every sample the surface is evaluated, the
 controller produces u (advancing its adaptive state once), u is held constant
-and the plant integrates through ``substeps`` RK4 steps to the next sample.
+and the plant takes one RK4 step of length dt to the next sample.
 Everything is deterministic; identical scenarios produce bit-identical logs.
 
 The log carries the two Lyapunov-style columns for delta-adaptive runs on
@@ -17,7 +17,6 @@ the s and gain columns.
 """
 
 import math
-import os
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from typing import Optional
@@ -38,28 +37,16 @@ from .errors import (
 )
 from .plants import BLOCK
 
-CSV_PRECISION_ENV = "SMCSIM_CSV_PRECISION"
-
 CERTIFICATE_TOL = 0.05  # the bound checks allow (1 + this) times the certified level
 
 
 @dataclass(frozen=True)
 class IntegrationSettings:
     dt: float = 1e-4
-    substeps: int = 1
     t_end: float = 30.0
 
     def __post_init__(self):
         core._require_positive("dt", self.dt)
-        if not (isinstance(self.substeps, int) and self.substeps >= 1):
-            raise ParameterError(f"substeps must be an integer >= 1, got {self.substeps!r}")
-        try:
-            h = self.dt / self.substeps
-        except OverflowError:  # an int beyond the float range
-            h = 0.0
-        if not h > 0.0:
-            raise ParameterError(f"dt/substeps must be a positive float, got substeps = "
-                                 f"{self.substeps!r} at dt = {self.dt!r}")
         if not (math.isfinite(self.t_end / self.dt) and self.t_end >= self.dt):
             raise ParameterError(f"t_end must be >= dt with a finite t_end/dt, got "
                                  f"{self.t_end!r} at dt = {self.dt!r}")
@@ -127,16 +114,13 @@ def row_count(t_end: float, dt: float) -> int:
 def run_scenario(scenario: Scenario) -> TrajectoryLog:
     """Simulate the closed loop and return the sampled trajectory.
 
-    Rows are processed max(1, BLOCK // substeps) at a time. For each block
-    the plant's time inputs are evaluated once, vectorized, at the instants
-    the loop uses: the samples i*dt and, for substep j of length
-    h = dt/substeps, the RK4 start t_j = i*dt + j*h, midpoint t_j + 0.5*h
-    and end t_j + h (the last two through ``plant.stage_inputs``). Each of
-    those three arrays then holds at most max(BLOCK, substeps) instants
-    (plus the final sample), so memory beyond the log stays bounded; inputs
-    that still do not fit raise ParameterError. Each row is one ``plant.sample`` call and one
-    controller step, each substep one ``plant.advance`` call; all three
-    return plain tuples.
+    Rows are processed BLOCK at a time. For each block the plant's time
+    inputs are evaluated once, vectorized, at the instants the loop uses:
+    the samples i*dt, which start each RK4 step, and the step's midpoint
+    i*dt + 0.5*dt and end i*dt + dt (the last two through
+    ``plant.stage_inputs``). Each row is one ``plant.sample`` call, one
+    controller step and one ``plant.advance`` call; all three return plain
+    tuples.
 
     Raises SimulationDiverged when the state, the surface or the control
     leaves the finite range (the surface is checked before the controller
@@ -150,11 +134,8 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     controller = scenario.controller
     controller.reset()
     st = scenario.settings
-    dt, substeps = st.dt, st.substeps
+    dt = st.dt
     n = row_count(st.t_end, dt)
-    h = dt / substeps
-    rows_per_block = max(1, BLOCK // substeps)
-    substep_range = range(substeps)
 
     inputs, stage_inputs, advance, sample = (
         plant.inputs, plant.stage_inputs, plant.advance, plant.sample)
@@ -169,7 +150,6 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     # allocated: glibc would then raise its mmap threshold and place the log
     # on the heap, where freed logs are not returned and peak memory grows.
     try:
-        offsets = np.arange(substeps) * h
         t_arr = np.arange(n, dtype=float)
         t_arr *= dt
         x_arr = np.empty((n, plant.n_states))
@@ -177,31 +157,23 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
         v_arr = np.zeros(n)
         vp_arr = np.zeros(n)
     except (MemoryError, ValueError) as exc:  # beyond memory, or beyond numpy's size limit
-        raise ParameterError(f"cannot allocate a log of {n} rows at {substeps} substeps a row "
-                             f"({exc})") from None
+        raise ParameterError(f"cannot allocate a log of {n} rows ({exc})") from None
     mu = plant.true_bound
     lyap = None
     if isinstance(controller, DeltaAdaptiveSMC) and mu is not None:
         lyap = controller
     x1 = scenario.x0[0]
     x2 = scenario.x0[1] if plant.n_states > 1 else 0.0
-    for c0 in range(0, n, rows_per_block):
-        c1 = min(c0 + rows_per_block, n)
+    for c0 in range(0, n, BLOCK):
+        c1 = min(c0 + BLOCK, n)
         grid = t_arr[c0:c1]
         m = min(c1, n - 1) - c0  # rows that integrate on to the next sample
-        try:
-            starts = (grid[:m, None] + offsets).ravel()
-            # w0 of substep 0 is the sample's input; the final row only samples.
-            w_start = inputs(np.concatenate((starts, grid[m:])))
-            w_mid = stage_inputs(starts + 0.5 * h)
-            w_end = stage_inputs(starts + h)
-        except MemoryError as exc:
-            raise ParameterError(f"cannot allocate the inputs of {c1 - c0} rows at {substeps} "
-                                 f"substeps a row ({exc})") from None
+        w_start = inputs(grid)
+        w_mid = stage_inputs(grid[:m] + 0.5 * dt)
+        w_end = stage_inputs(grid[:m] + dt)
         rows = []  # (x1, x2, s, u, gain, gain_rate, delta_f)
-        k = 0
         try:
-            for i in range(c0, c1):
+            for k, i in enumerate(range(c0, c1)):
                 s, hdrift, g, delta_f = sample(x1, x2, w_start[k])
                 if not isfinite(s):
                     raise diverged(i, x1, x2)
@@ -212,9 +184,7 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
                 if not isfinite(u):
                     raise diverged(i, x1, x2, u, gain)
                 if i + 1 < n:
-                    for _ in substep_range:
-                        x1, x2 = advance(x1, x2, w_start[k], w_mid[k], w_end[k], u, h)
-                        k += 1
+                    x1, x2 = advance(x1, x2, w_start[k], w_mid[k], w_end[k], u, dt)
                     if not (isfinite(x1) and isfinite(x2)):
                         raise diverged(i + 1, *rows[-1][:2], u, gain)
         except ValueError as exc:
@@ -241,7 +211,7 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
         "controller": controller.kind,
         "plant": plant.kind,
         "dt": dt,
-        "substeps": substeps,
+        "substeps": 1,  # kept so that metrics.json keeps its bytes
         "t_end": st.t_end,
         "integrator": "rk4 plant substeps, euler adaptive states, zero-order-hold control",
         "package_version": __version__,
@@ -250,36 +220,16 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
                          meta)
 
 
-def csv_precision() -> int:
-    """Significant digits for write_csv: SMCSIM_CSV_PRECISION when set, else 17.
-
-    Commands that write CSVs call this before loading anything, so a bad
-    value fails fast.
-    """
-    raw = os.environ.get(CSV_PRECISION_ENV, "17")
-    try:
-        precision = int(raw)
-    except ValueError:
-        precision = 0
-    if precision < 1:
-        raise ParameterError(f"{CSV_PRECISION_ENV} must be an integer >= 1, got {raw!r}")
-    return precision
-
-
-def write_csv(log: TrajectoryLog, path, precision: Optional[int] = None):
-    """Serialize the log; floats are printed as ``"%.{precision}g"``
-    (default precision: csv_precision()), the same bytes as np.savetxt."""
-    if precision is None:
-        precision = csv_precision()
-    if precision < 1:
-        raise ParameterError(f"precision must be >= 1, got {precision!r}")
+def write_csv(log: TrajectoryLog, path):
+    """Serialize the log; floats are printed as ``"%.17g"``, the same bytes
+    as np.savetxt."""
     with open(path, "wb") as fh:
         fh.write((",".join(log.columns()) + "\n").encode())
         # Sized so that format_rows' temporaries come from the heap whatever
         # earlier frees did to glibc's threshold; fixed 1024-row blocks were
         # mapped and faulted in afresh on every block unless a larger free
         # had raised it, about 0.3 s more per 300 001-row log.
-        step = block_rows(len(log.columns()), precision)
+        step = block_rows(len(log.columns()))
         # glibc also gives the top of its heap back to the system when more
         # than 128 KiB lie free there, so a block's temporaries, once freed,
         # could be faulted in afresh on every block: 150 000-195 000 faults
@@ -288,7 +238,7 @@ def write_csv(log: TrajectoryLog, path, precision: Optional[int] = None):
         # a 2.4-MB log column is still mapped.
         np.empty(1 << 17)
         for r0 in range(0, len(log), step):
-            fh.write(format_rows(log.as_matrix(slice(r0, r0 + step)), precision))
+            fh.write(format_rows(log.as_matrix(slice(r0, r0 + step))))
 
 
 # ---------------------------------------------------------------------------

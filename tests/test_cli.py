@@ -15,7 +15,6 @@ from smcsim.cli import main
 from smcsim.config import load_config, preset_path
 from smcsim.errors import (ControllabilityError, ParameterError, SimulationDiverged,
                            TuningWarning)
-from smcsim.plants import RegulationPlant
 from smcsim.sim import IntegrationSettings, row_count
 
 
@@ -95,13 +94,6 @@ class TestRun:
         assert rc == 2
         assert "wave.csv" in capsys.readouterr().err
 
-    def test_bad_csv_precision_exits_2_before_loading(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SMCSIM_CSV_PRECISION", "abc")
-        rc = main(["run", short_smooth(tmp_path), "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert "SMCSIM_CSV_PRECISION" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
     def test_inapplicable_certificate_not_reported_as_satisfied(self, tmp_path):
         # v0 = 1.0005 lies below sigma/k = 1.4, so the certificate does not apply
         assert main(["run", "regulation-smooth", "--t-end", "2", "--out", str(tmp_path)]) == 0
@@ -164,24 +156,12 @@ class TestRun:
 
     @pytest.mark.parametrize("substeps", [10**400, 10**300], ids=["1e400", "1e300"])
     def test_substeps_beyond_float_range_exits_2(self, tmp_path, capsys, substeps):
-        # dt/10**400 has no float value, and numpy refuses np.arange(10**300)
-        # by its size limit before allocating anything.
+        # Any substeps but 1 is refused at load, before anything is run.
         cfg = load_config(preset_path("regulation-smooth"))
         cfg["integration"].update(substeps=substeps, t_end=0.001)
         out = tmp_path / "out"
         assert main(["run", write_scenario(tmp_path, cfg), "--out", str(out)]) == 2
-        assert "substeps" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_unallocatable_block_inputs_exit_2(self, tmp_path, capsys, monkeypatch):
-        # Stands in for a block whose RK4 instants do not fit in memory.
-        def refuse(self, t):
-            raise MemoryError
-
-        monkeypatch.setattr(RegulationPlant, "stage_inputs", refuse)
-        out = tmp_path / "out"
-        assert main(["run", "regulation-smooth", "--t-end", "0.01", "--out", str(out)]) == 2
-        assert "cannot allocate the inputs of 101 rows" in capsys.readouterr().err
+        assert "integration.substeps: must be 1" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -234,6 +214,21 @@ class TestCompare:
 
     def test_needs_two(self, tmp_path):
         assert main(["compare", short_smooth(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_repeated_name_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, w):
+        # Two scenarios named alike would write the same files.
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: w)
+        monkeypatch.setattr(cli, "run_scenario", lambda sc: pytest.fail("a scenario ran"))
+        files = [short_smooth(tmp_path, name=f"{label}.json") for label in ("a", "b")]
+        for path in files:
+            cfg = load_config(path)
+            cfg["name"] = "same"
+            write_scenario(tmp_path, cfg, os.path.basename(path))
+        out = tmp_path / "out"
+        assert main(["compare", *files, "--out", str(out)]) == 2
+        assert "'same' is used 2 times" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerify:
@@ -303,6 +298,16 @@ class TestVerify:
         assert re.search(r"^m = \S+  delta = \S+$", res.stdout, re.M)
         res = smcsim_cli("run", path, "--out", str(tmp_path / "out"))
         assert res.returncode == 0, res.stderr
+
+    def test_underflowing_rho_phi_exits_0(self, tmp_path, capsys):
+        # rho*phi = 1e-330 underflows to 0: the stiffness ceiling is capped
+        # at the largest float instead of dividing by 0.
+        path = short_smooth(tmp_path, rho=1e-300, phi=1e-30)
+        with np.errstate(all="ignore"), pytest.warns(TuningWarning, match="band crossing"):
+            assert main(["verify", path, "--t-end", "2e-4"]) == 0
+        out = capsys.readouterr().out
+        m, delta = map(float, re.search(r"^m = (\S+)  delta = (\S+)$", out, re.M).groups())
+        assert math.isfinite(m) and math.isfinite(delta)
 
 
 def smcsim_cli(*argv, timeout=60):

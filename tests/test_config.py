@@ -1,6 +1,9 @@
 import json
 import math
+import os
+import re
 
+import numpy as np
 import pytest
 
 from smcsim.config import (
@@ -15,6 +18,7 @@ from smcsim.config import (
 from smcsim.controllers import UtkinAdaptiveSMC
 from smcsim.errors import ConfigError, TuningWarning
 from smcsim.plants import RegulationPlant, TrackingPlant
+from smcsim.sim import run_scenario
 
 
 def smooth_config(**patch):
@@ -243,6 +247,15 @@ class TestErrorText:
             build_scenario(cfg)
         assert str(err.value) == "integration.substeps: expected a number, got a boolean"
 
+    @pytest.mark.parametrize("substeps", [2, 0])
+    def test_substeps_other_than_one_rejected(self, substeps):
+        cfg = smooth_config()
+        cfg["integration"]["substeps"] = substeps
+        with pytest.raises(ConfigError) as err:
+            build_scenario(cfg)
+        assert str(err.value) == ("integration.substeps: must be 1 (one RK4 step per sample; "
+                                  f"refine dt instead), got {substeps}")
+
 
 def tuning_warnings(recwarn):
     return [str(w.message) for w in recwarn if issubclass(w.category, TuningWarning)]
@@ -293,6 +306,19 @@ class TestDefaults:
         del cfg["integration"]
         norm = normalize_config(cfg)
         assert norm["integration"] == {"dt": 1e-4, "substeps": 1, "t_end": 30.0}
+
+
+def test_readme_example_loads_and_runs():
+    # The scenario file shown in README.md, "substeps": 1 included.
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        block = re.search(r"^```json\n(.*?)^```", fh.read(), re.M | re.S).group(1)
+    cfg = json.loads(block)
+    assert cfg["integration"]["substeps"] == 1
+    cfg["integration"]["t_end"] = 0.01
+    log = run_scenario(build_scenario(cfg))
+    assert len(log) == 101 and np.all(np.isfinite(log.x))
 
 
 class TestRoundTrip:

@@ -209,23 +209,31 @@ class TestOvershootBound:
 
     def test_bisection_ends_where_floats_run_out(self):
         # Above m = 2**19 adjacent floats lie more than 1e-10 apart, and the
-        # ceiling sqrt(2)/(rho*phi) is inf when rho*phi underflows; the
+        # ceiling sqrt(2)/(rho*phi) overflows when rho*phi is subnormal
+        # (1e-310) and divides by 0 when it underflows (1e-330); the
         # bisection must end anyway. Run in a child so a hang fails the test.
+        cases = [(2.3, 1e-4, 0.01), (0.0, 1e-4, 0.01), (1.0, 1e-300, 1e-10),
+                 (1.0, 1e-300, 1e-30)]
         code = ("from smcsim.core import overshoot_bound\n"
-                "for args in [(2.3, 1e-4, 0.01), (0.0, 1e-4, 0.01), (1.0, 1e-300, 1e-10)]:\n"
+                f"for args in {cases!r}:\n"
                 "    print(repr(tuple(overshoot_bound(*args))))\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              timeout=60, env=env)
         assert res.returncode == 0, res.stderr
-        tight, free, unbounded = (eval(line, {"nan": math.nan})
-                                  for line in res.stdout.splitlines())
+        tight, free, *capped = (eval(line, {"nan": math.nan})
+                                for line in res.stdout.splitlines())
         assert tight[2] and math.isclose(tight[0], 1146820.44, rel_tol=1e-8)
         # at mu = 0 every m below the ceiling is feasible: m is the float below it
         assert free[2] and math.nextafter(free[0], math.inf) == math.sqrt(2.0) / (1e-4 * 0.01)
         assert free[1] == pytest.approx(ultimate_band(0.01), rel=1e-12)
-        assert not unbounded[2] and math.isnan(unbounded[0])
+        # Where the ceiling has no float value it is capped at the largest
+        # float, and an m below the cap meets the feasibility inequality.
+        for (mu, rho, phi), (m, delta, feasible) in zip(cases[2:], capped):
+            assert feasible and 0.0 < m <= sys.float_info.max and math.isfinite(delta)
+            root = math.sqrt(m)
+            assert mu * root <= adaptation_shape(ultimate_band(phi) + mu / root, phi) / rho
 
     def test_bad_parameters(self):
         with pytest.raises(ParameterError):

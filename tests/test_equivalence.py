@@ -58,9 +58,8 @@ def _rk4(f, x, t, u, h):
 def reference_run(scenario):
     plant, controller = scenario.plant, scenario.controller
     controller.reset()
-    dt, substeps = scenario.settings.dt, scenario.settings.substeps
+    dt = scenario.settings.dt
     n = row_count(scenario.settings.t_end, dt)
-    h = dt / substeps
     lyap = None
     if isinstance(controller, DeltaAdaptiveSMC) and plant.true_bound is not None:
         lyap = (controller.phi, controller.rho, controller.k, plant.true_bound)
@@ -83,8 +82,7 @@ def reference_run(scenario):
             if k > 0.0:
                 out["Vprime"][i] = a + gain / k
         if i + 1 < n:
-            for j in range(substeps):
-                x = _rk4(plant.deriv, x, t + j * h, u, h)
+            x = _rk4(plant.deriv, x, t, u, dt)
     return out
 
 
@@ -125,19 +123,8 @@ def assert_same_log(log, ref):
 @pytest.mark.parametrize("plant", sorted(PLANTS))
 def test_runner_matches_reference_loop(plant, controller):
     sc = Scenario(f"{plant}-{controller}", PLANTS[plant](), CONTROLLERS[controller](),
-                  X0[plant], IntegrationSettings(dt=DT, substeps=1, t_end=T_END))
+                  X0[plant], IntegrationSettings(dt=DT, t_end=T_END))
     assert_same_log(run_scenario(sc), reference_run(sc))
-
-
-def test_runner_matches_reference_loop_with_substeps():
-    # Several substeps per sample, so that each plant's advance runs with
-    # h != dt, under a smooth and a switching adaptive law.
-    for plant, substeps in (("regulation", 3), ("linear", 3), ("tracking", 4)):
-        for controller in ("delta_adaptive", "plestan"):
-            sc = Scenario(f"{plant}-{controller}-substeps", PLANTS[plant](),
-                          CONTROLLERS[controller](), X0[plant],
-                          IntegrationSettings(dt=DT, substeps=substeps, t_end=T_END))
-            assert_same_log(run_scenario(sc), reference_run(sc))
 
 
 def rk4_over_rhs(rhs, x1, x2, w0, wm, w1, u, h):
@@ -172,22 +159,20 @@ def test_advance_matches_rk4_over_rhs(plant):
 # Vectorized signals against their closed forms
 
 
-def runner_instants(dt, substeps, t_end):
-    """Every instant the runner evaluates inputs at, with its arithmetic."""
+def runner_instants(dt, t_end):
+    """Every instant the runner evaluates inputs at, with its arithmetic:
+    each RK4 step's start, midpoint and end."""
     n = row_count(t_end, dt)
-    h = dt / substeps
     out = [(n - 1) * dt]
     for i in range(n - 1):
         t = i * dt
-        for j in range(substeps):
-            tj = t + j * h
-            out += (tj, tj + 0.5 * h, tj + h)
+        out += (t, t + 0.5 * dt, t + dt)
     return np.array(out)
 
 
 INSTANTS = {
-    "dt=1e-4": runner_instants(1e-4, 1, 20.0),
-    "dt=3e-4, 4 substeps": runner_instants(3e-4, 4, 20.0),
+    "dt=1e-4": runner_instants(1e-4, 20.0),
+    "dt=3e-4": runner_instants(3e-4, 20.0),
 }
 
 

@@ -37,5 +37,5 @@ def test_preset_csv_digest(name, tmp_path):
     raw = load_config(preset_path(name))
     raw["integration"]["t_end"] = 1.0
     path = tmp_path / f"{name}.csv"
-    write_csv(run_scenario(build_scenario(raw)), path, precision=17)
+    write_csv(run_scenario(build_scenario(raw)), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[name]

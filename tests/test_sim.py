@@ -23,7 +23,6 @@ from smcsim.plants import (
     TrackingPlant,
 )
 from smcsim.sim import (
-    CSV_PRECISION_ENV,
     IntegrationSettings,
     Scenario,
     TrajectoryLog,
@@ -54,7 +53,7 @@ def smooth_scenario(t_end=5.0, dt=1e-4, x0=1.0):
         plant=RegulationPlant(smooth_signal()),
         controller=DeltaAdaptiveSMC(phi=0.01, rho=1.0, k=2.0, mu_hat0=0.001),
         x0=(x0,),
-        settings=IntegrationSettings(dt=dt, substeps=1, t_end=t_end),
+        settings=IntegrationSettings(dt=dt, t_end=t_end),
     )
 
 
@@ -89,7 +88,7 @@ class TestRunScenario:
             plant=RegulationPlant(zero_signal()),
             controller=ClassicalSMC(2.0),
             x0=(1.0,),
-            settings=IntegrationSettings(dt=1e-3, substeps=1, t_end=0.4),
+            settings=IntegrationSettings(dt=1e-3, t_end=0.4),
         )
         log = run_scenario(sc)
         a = np.abs(log.s)
@@ -141,7 +140,7 @@ class TestRunScenario:
             plant=LinearPlant(60.0, 1.0, zero_signal()),
             controller=ClassicalSMC(0.001),
             x0=(1.0,),
-            settings=IntegrationSettings(dt=0.01, substeps=1, t_end=30.0),
+            settings=IntegrationSettings(dt=0.01, t_end=30.0),
         )
         with pytest.raises(SimulationDiverged) as err:
             run_scenario(sc)
@@ -173,7 +172,7 @@ class TestRunScenario:
         plant = TrackingPlant(MultiSineSignal([0.5], [1.0], [1.0], 0.5), zero_signal(),
                               SineReference(1.0, 1.0), 4.0)
         sc = Scenario("overflow", plant, ClassicalSMC(1.0), x0,
-                      IntegrationSettings(dt=1e-4, substeps=1, t_end=0.01))
+                      IntegrationSettings(dt=1e-4, t_end=0.01))
         with pytest.raises(SimulationDiverged) as err:
             run_scenario(sc)
         exc = err.value
@@ -188,7 +187,7 @@ class TestRunScenario:
                 raise error("from the plant")
 
         sc = Scenario("failing", Failing(zero_signal()), ClassicalSMC(1.0), (1.0,),
-                      IntegrationSettings(dt=0.01, substeps=1, t_end=1.0))
+                      IntegrationSettings(dt=0.01, t_end=1.0))
         with pytest.raises(error, match="from the plant"):
             run_scenario(sc)
 
@@ -202,29 +201,18 @@ class TestRunScenario:
             plant=DeadChannel(zero_signal()),
             controller=ClassicalSMC(1.0),
             x0=(1.0,),
-            settings=IntegrationSettings(dt=0.01, substeps=1, t_end=1.0),
+            settings=IntegrationSettings(dt=0.01, t_end=1.0),
         )
         with pytest.raises(ControllabilityError):
             run_scenario(sc)
 
-    def test_substeps_refine_plant_integration(self):
-        a = run_scenario(smooth_scenario(t_end=1.0, dt=1e-3))
-        sc = smooth_scenario(t_end=1.0, dt=1e-3)
-        sc = Scenario(sc.name, sc.plant, sc.controller, sc.x0,
-                      IntegrationSettings(dt=1e-3, substeps=4, t_end=1.0))
-        b = run_scenario(sc)
-        assert not np.array_equal(a.x, b.x)
-        assert abs(a.x[-1, 0] - b.x[-1, 0]) < 1e-3
-
-    def test_block_inputs_stay_bounded_at_many_substeps(self, monkeypatch):
-        # A block holds BLOCK // substeps rows, so no vectorized call sees
-        # much more than BLOCK instants; the log is the one a single block
-        # spanning every row gives.
+    def test_block_inputs_stay_bounded(self, monkeypatch):
+        # A block holds BLOCK rows, so no vectorized call sees more than
+        # BLOCK instants; the log is the one a single block spanning every
+        # row gives.
         def run(block):
             monkeypatch.setattr(sim, "BLOCK", block)
             sc = smooth_scenario(t_end=1.0, dt=1e-3)
-            sc = Scenario(sc.name, sc.plant, sc.controller, sc.x0,
-                          IntegrationSettings(dt=1e-3, substeps=8, t_end=1.0))
             sizes = []
             inputs = sc.plant.inputs
 
@@ -235,18 +223,16 @@ class TestRunScenario:
             sc.plant.inputs = sc.plant.stage_inputs = counted
             return run_scenario(sc), max(sizes)
 
-        log, widest = run(1024)
-        assert widest <= 1024 + 1  # the final row only samples
+        log, widest = run(64)  # 16 blocks of the 1001 rows
+        assert widest == 64
         whole, widest = run(10**6)
-        assert widest == 1000 * 8 + 1
+        assert widest == 1000 + 1  # the samples, the final one included
         for name in ("x", "s", "u", "gain", "gain_rate", "delta_f", "V", "Vprime"):
             assert np.array_equal(getattr(log, name), getattr(whole, name)), name
 
     def test_validation(self):
         with pytest.raises(ParameterError):
             IntegrationSettings(dt=0.0)
-        with pytest.raises(ParameterError):
-            IntegrationSettings(dt=1e-4, substeps=0)
         with pytest.raises(ParameterError):
             IntegrationSettings(dt=1.0, t_end=0.5)
         with pytest.raises(ParameterError):
@@ -418,7 +404,7 @@ class TestBandExcursion:
             plant=RegulationPlant(zero_signal()),
             controller=ClassicalSMC(0.001),
             x0=(1.0,),
-            settings=IntegrationSettings(dt=1e-3, substeps=1, t_end=1.0),
+            settings=IntegrationSettings(dt=1e-3, t_end=1.0),
         )
         r = verify_band_excursion(run_scenario(sc), 1.0, 0.1, 0.01)
         assert not r.applicable
@@ -464,7 +450,7 @@ class TestLogContract:
             plant=RegulationPlant(smooth_signal()),
             controller=ClassicalSMC(4.6),
             x0=(1.0,),
-            settings=IntegrationSettings(dt=1e-3, substeps=1, t_end=2.0),
+            settings=IntegrationSettings(dt=1e-3, t_end=2.0),
         )
         log = run_scenario(sc)
         assert np.all(log.V == 0.0) and np.all(log.Vprime == 0.0)
@@ -478,7 +464,7 @@ class TestLogContract:
             plant=RegulationPlant(smooth_signal()),
             controller=ClassicalSMC(2.0 * 2.3),
             x0=(1.0,),
-            settings=IntegrationSettings(dt=1e-4, substeps=1, t_end=5.0),
+            settings=IntegrationSettings(dt=1e-4, t_end=5.0),
         )
         classical = run_scenario(sc)
         ma = compute_metrics(adaptive, 0.01)
@@ -497,15 +483,6 @@ class TestCsv:
         assert header == "t,x0,s,u,gain,gain_rate,delta_f,V,Vprime"
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(data, log.as_matrix())
-
-    def test_precision_env_var(self, tmp_path, monkeypatch):
-        log = run_scenario(smooth_scenario(t_end=0.1))
-        monkeypatch.setenv(CSV_PRECISION_ENV, "6")
-        path = tmp_path / "short.csv"
-        write_csv(log, path)
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert np.allclose(data, log.as_matrix(), rtol=1e-5, atol=1e-12)
-        assert not np.array_equal(data, log.as_matrix())
 
     def test_identical_runs_identical_files(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
