@@ -7,6 +7,17 @@ from smcsim.config import build_scenario, load_config, preset_path
 from smcsim.csvformat import format_rows
 from smcsim.sim import run_scenario, write_csv
 
+# Significant digits the inputs are rounded to before formatting: short
+# digit strings reach the formatter's trailing-zero, exact-integer and
+# exponent-switch paths at every length. 17 keeps every double as it is.
+DIGITS = list(range(1, 18))
+
+
+def rounded(values, digits):
+    fmt = f"%.{digits}g"
+    return np.array([float(fmt % v) for v in values.ravel().tolist()]).reshape(values.shape)
+
+
 def reference(block):
     return "".join(",".join("%.17g" % v for v in row) + "\n" for row in block.tolist()).encode()
 
@@ -27,17 +38,19 @@ def edge_values():
     return np.concatenate([values, -values, [-0.0]])
 
 
+@pytest.mark.parametrize("digits", DIGITS)
 @pytest.mark.parametrize("ncols", [1, 3, 7])
-def test_edge_values(ncols):
-    values = edge_values()
+def test_edge_values(digits, ncols):
+    values = rounded(edge_values(), digits)
     values = np.concatenate([values, np.full(-values.size % ncols, 3.0)]).reshape(-1, ncols)
     assert format_rows(values) == reference(values)
 
 
-def test_uniform_over_decades():
+@pytest.mark.parametrize("digits", [17, 12, 6, 1])
+def test_uniform_over_decades(digits):
     rng = np.random.default_rng(20261018)
     values = rng.uniform(-1.0, 1.0, 30_000) * 10.0 ** rng.integers(-12, 18, 30_000)
-    values = values.reshape(-1, 10)
+    values = rounded(values.reshape(-1, 10), digits)
     assert format_rows(values) == reference(values)
 
 
