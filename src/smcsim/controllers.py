@@ -10,7 +10,8 @@ concurrently, but distinct instances are independent.
 
 A step checks nothing. s finite, g != 0 and 0 < dt < inf are the caller's
 duty, and ``sim.run_scenario`` guarantees them: ``IntegrationSettings``
-validates dt once, and the runner checks s and g before each step.
+validates dt once, each plant's g is fixed and nonzero from its
+construction, and the runner checks s before each step.
 Each controller takes its law's parameters directly, validates them once in
 ``__init__`` and keeps them as attributes next to its adaptive state, which
 ``reset()`` returns to the initial value.

@@ -13,10 +13,6 @@ class DomainError(SmcError, ValueError):
     """An input lies outside the mathematical domain of an operation."""
 
 
-class ControllabilityError(SmcError, RuntimeError):
-    """The control channel gain g(x, t) vanished on the trajectory."""
-
-
 class InsufficientDataError(SmcError, RuntimeError):
     """A log is too short for the requested metric or diagnostic."""
 
@@ -26,20 +22,22 @@ class ConfigError(SmcError, ValueError):
 
 
 class SimulationDiverged(SmcError, RuntimeError):
-    """The closed-loop state became non-finite during integration.
+    """The closed-loop state, or the log ``column`` named, became non-finite.
 
-    ``row`` is the log row at ``time``; ``state`` is the last finite state,
-    and ``u`` and ``gain`` are the control and gain computed from it, or
-    None when the controller had not run on it.
+    ``row`` is the log row at ``time``; ``state`` is the last finite state
+    (that row's, for a named column), and ``u`` and ``gain`` are the control
+    and gain computed from it, or None when the controller had not run on it.
     """
 
-    def __init__(self, time, message=None, row=None, state=None, u=None, gain=None):
+    def __init__(self, time, message=None, row=None, state=None, u=None, gain=None,
+                 column="state"):
         self.time, self.row, self.state, self.u, self.gain = time, row, state, u, gain
         if message is None:
-            message = f"state became non-finite at t = {time:.6g} s"
+            message = f"{column} became non-finite at t = {time:.6g} s"
             if row is not None:
                 known = "" if u is None else f", u = {u!r}, gain = {gain!r}"
-                message += f" (row {row}; last finite state x = {list(state)!r}{known})"
+                which = "last finite state" if column == "state" else "state"
+                message += f" (row {row}; {which} x = {list(state)!r}{known})"
         super().__init__(message)
 
     def __reduce__(self):

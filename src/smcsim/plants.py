@@ -39,7 +39,8 @@ Each signal has one formula, ``values(t)`` over an array of instants.
 Evaluation is deterministic, and it matches a scalar math-module evaluation
 bit for bit wherever numpy's float64 sin and cos round as math.sin and
 math.cos do, which tests/test_equivalence.py checks on the instants the
-runner uses.
+runner uses. ``inputs`` and ``stage_inputs`` pass every signal value
+through ``verify_signal_bound``, the one check of its declared bound.
 
 The scalar wrappers ``_Plant.deriv(x, t, u)``, ``_Signal.value(t)`` and
 ``SineReference.value``, ``rate`` and ``accel`` are not called by any
@@ -55,9 +56,9 @@ import numpy as np
 from .core import _require_positive
 from .errors import DomainError, ParameterError
 
-# Instants evaluated per vectorized call by the runner and the bound check:
-# large enough to amortize numpy's per-call cost, small enough that the
-# per-instant inputs take little memory next to the log.
+# Instants evaluated per vectorized call by the runner: large enough to
+# amortize numpy's per-call cost, small enough that the per-instant inputs
+# take little memory next to the log.
 BLOCK = 1024
 
 
@@ -140,8 +141,9 @@ class SquareSignal(_Signal):
 
 
 class TableSignal(_Signal):
-    """Linear interpolation through a (t, value) table; t outside the table
-    is a domain error."""
+    """Linear interpolation through a (t, value) table. t up to a relative
+    1e-12 past the last knot, the overrun ``sim.row_count`` allows past t_end,
+    reads the last knot; t further outside the table is a domain error."""
 
     kind = "custom_table"
 
@@ -181,10 +183,11 @@ class TableSignal(_Signal):
     def values(self, t):
         t = _instants(t)
         ts, vs = self._t, self._v
-        outside = (t < ts[0]) | (t > ts[-1])
+        outside = (t < ts[0]) | (t > ts[-1] + 1e-12 * abs(ts[-1]))
         if outside.any():
             bad = float(t[outside][0])
             raise DomainError(f"t = {bad!r} outside table horizon [{ts[0]}, {ts[-1]}]")
+        t = np.minimum(t, ts[-1])
         # Segment [lo, lo + 1] holding t; the last knot belongs to the last segment.
         lo = np.minimum(np.searchsorted(ts, t, side="right") - 1, len(ts) - 2)
         hi = lo + 1
@@ -193,20 +196,17 @@ class TableSignal(_Signal):
         return v_lo + (vs[hi] - v_lo) * w
 
 
-def verify_signal_bound(signal, t_end, samples=100_000):
-    """Densely sample [0, t_end] and check |value| never exceeds the bound
-    (a 1e-12 relative allowance absorbs interpolation rounding). Samples are
-    evaluated BLOCK at a time, which bounds the memory the check takes."""
-    step = t_end / (samples - 1)
-    worst = 0.0
-    for i in range(0, samples, BLOCK):
-        instants = np.arange(i, min(i + BLOCK, samples)) * step
-        worst = max(worst, float(np.max(np.abs(signal.values(instants)))))
-    if worst > signal.bound * (1.0 + 1e-12):
-        raise ParameterError(
-            f"signal exceeds its declared bound: max |value| = {worst!r} > {signal.bound!r}"
-        )
-    return worst
+def verify_signal_bound(signal, t):
+    """signal.values(t), once |value| <= bound is checked at every instant of
+    t (a 1e-12 relative allowance absorbs interpolation rounding). Raises
+    ParameterError at the first instant that breaks it."""
+    v = signal.values(t)
+    ok = np.abs(v) <= signal.bound * (1.0 + 1e-12)  # False on NaN too
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ParameterError(f"{signal.kind} exceeds its declared bound {signal.bound!r} at "
+                             f"t = {float(_instants(t)[i])!r}: value {float(v[i])!r}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +264,7 @@ class RegulationPlant(_Plant):
         return self.signal.bound
 
     def inputs(self, t):
-        return self.signal.values(t).tolist()
+        return verify_signal_bound(self.signal, t).tolist()
 
     stage_inputs = inputs
 
@@ -304,7 +304,7 @@ class LinearPlant(_Plant):
         return self.signal.bound
 
     def inputs(self, t):
-        return self.signal.values(t).tolist()
+        return verify_signal_bound(self.signal, t).tolist()
 
     stage_inputs = inputs
 
@@ -354,13 +354,14 @@ class TrackingPlant(_Plant):
     true_bound = None
 
     def inputs(self, t):
-        dx1 = 1.0 + self.mult.values(t)
+        dx1 = 1.0 + verify_signal_bound(self.mult, t)
         yd, yd_dot, yd_ddot = self.reference.values(t)
-        return list(zip(dx1.tolist(), self.add.values(t).tolist(),
+        return list(zip(dx1.tolist(), verify_signal_bound(self.add, t).tolist(),
                         yd.tolist(), yd_dot.tolist(), yd_ddot.tolist()))
 
     def stage_inputs(self, t):
-        return list(zip((1.0 + self.mult.values(t)).tolist(), self.add.values(t).tolist()))
+        return list(zip((1.0 + verify_signal_bound(self.mult, t)).tolist(),
+                        verify_signal_bound(self.add, t).tolist()))
 
     def rhs(self, x1, x2, w, u):
         dx1 = w[0]

@@ -28,13 +28,7 @@ from .controllers import DeltaAdaptiveSMC
 from . import core
 from .core import CertificateBounds, ultimate_band
 from .csvformat import block_rows, format_rows
-from .errors import (
-    ControllabilityError,
-    InsufficientDataError,
-    ParameterError,
-    SimulationDiverged,
-    SmcError,
-)
+from .errors import InsufficientDataError, ParameterError, SimulationDiverged, SmcError
 from .plants import BLOCK
 
 CERTIFICATE_TOL = 0.05  # the bound checks allow (1 + this) times the certified level
@@ -118,16 +112,18 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     inputs are evaluated once, vectorized, at the instants the loop uses:
     the samples i*dt, which start each RK4 step, and the step's midpoint
     i*dt + 0.5*dt and end i*dt + dt (the last two through
-    ``plant.stage_inputs``). Each row is one ``plant.sample`` call, one
-    controller step and one ``plant.advance`` call; all three return plain
-    tuples.
+    ``plant.stage_inputs``), which raise ParameterError at the first value
+    above its signal's declared bound. Each row is one ``plant.sample`` call,
+    one controller step and one ``plant.advance`` call; all three return
+    plain tuples.
 
     Raises SimulationDiverged when the state, the surface or the control
     leaves the finite range (the surface is checked before the controller
     sees it), or when the plant's math raises ValueError on an overflowed
-    value; it carries the row and the last finite state. Raises
-    ControllabilityError when the surface reports g = 0. These checks, and
-    IntegrationSettings' check of dt, are the whole of the controller step's
+    value; it carries the row and the last finite state. It is raised too at
+    the first row whose V or Vprime overflows, naming the column. These
+    checks, IntegrationSettings' check of dt and each plant's g, fixed and
+    nonzero when it is built, are the whole of the controller step's
     contract: steps check nothing themselves.
     """
     plant = scenario.plant
@@ -142,9 +138,9 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     step = controller.step
     isfinite = math.isfinite
 
-    def diverged(row, x1, x2, u=None, gain=None):
+    def diverged(row, x1, x2, u=None, gain=None, column="state"):
         return SimulationDiverged(row * dt, row=row, state=(x1, x2)[:plant.n_states],
-                                  u=u, gain=gain)
+                                  u=u, gain=gain, column=column)
 
     # In place, so that no log-sized temporary is freed before the log is
     # allocated: glibc would then raise its mmap threshold and place the log
@@ -177,8 +173,6 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
                 s, hdrift, g, delta_f = sample(x1, x2, w_start[k])
                 if not isfinite(s):
                     raise diverged(i, x1, x2)
-                if g == 0.0:
-                    raise ControllabilityError(f"surface reported g = 0 at t = {i * dt:.6g} s")
                 u, gain, rate = step(s, hdrift, g, dt)
                 rows.append((x1, x2, s, u, gain, rate, delta_f))
                 if not isfinite(u):
@@ -199,9 +193,15 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
         s_arr[c0:c1], u_arr[c0:c1], gain_arr[c0:c1], rate_arr[c0:c1], df_arr[c0:c1] = cols[2:]
         if lyap is not None:
             s_blk, gain_blk = s_arr[c0:c1], gain_arr[c0:c1]
-            v_arr[c0:c1] = lyapunov_value(s_blk, gain_blk, mu, lyap.rho, lyap.phi)
-            if lyap.k > 0.0:
-                vp_arr[c0:c1] = lyapunov_vprime(s_blk, gain_blk, lyap.k)
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+                v_arr[c0:c1] = lyapunov_value(s_blk, gain_blk, mu, lyap.rho, lyap.phi)
+                if lyap.k > 0.0:
+                    vp_arr[c0:c1] = lyapunov_vprime(s_blk, gain_blk, lyap.k)
+            ok = np.isfinite(v_arr[c0:c1]) & np.isfinite(vp_arr[c0:c1])
+            if not ok.all():
+                i = c0 + int(np.argmin(ok))
+                x1, x2, _, u, gain = rows[i - c0][:5]
+                raise diverged(i, x1, x2, u, gain, "Vprime" if isfinite(v_arr[i]) else "V")
         # Free this block's inputs before the next block builds its own, so
         # that two blocks' worth never coexist at the memory peak.
         del w_start, w_mid, w_end

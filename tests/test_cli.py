@@ -13,8 +13,7 @@ import pytest
 from smcsim import cli, config, sim
 from smcsim.cli import main
 from smcsim.config import load_config, preset_path
-from smcsim.errors import (ControllabilityError, ParameterError, SimulationDiverged,
-                           TuningWarning)
+from smcsim.errors import ParameterError, SimulationDiverged, TuningWarning
 from smcsim.sim import IntegrationSettings, row_count
 
 
@@ -251,9 +250,12 @@ class TestVerify:
 
     def test_underflowing_k_rho_exits_0(self, tmp_path, capsys):
         # k*rho underflows to 0, so 1/(k*rho) has no float value: sigma is inf.
-        path = short_smooth(tmp_path, t_end=0.0002, k=1e-200, rho=1e-200)
-        with np.errstate(all="ignore"):
-            assert main(["verify", path]) == 0
+        # Starting on the surface keeps the gain at 0, so V' = |s| + gain/k
+        # stays finite (from x0 = 1 it overflows, a divergence).
+        cfg = load_config(preset_path("regulation-smooth"))
+        cfg["controller"].update(k=1e-200, rho=1e-200)
+        cfg["x0"], cfg["integration"]["t_end"] = [0.0], 0.0002
+        assert main(["verify", write_scenario(tmp_path, cfg)]) == 0
         out = capsys.readouterr().out
         assert "sigma = inf" in out
         # k > 0: the check is inapplicable because sigma and b are inf, not because k = 0.
@@ -301,10 +303,14 @@ class TestVerify:
 
     def test_underflowing_rho_phi_exits_0(self, tmp_path, capsys):
         # rho*phi = 1e-330 underflows to 0: the stiffness ceiling is capped
-        # at the largest float instead of dividing by 0.
-        path = short_smooth(tmp_path, rho=1e-300, phi=1e-30)
-        with np.errstate(all="ignore"), pytest.warns(TuningWarning, match="band crossing"):
-            assert main(["verify", path, "--t-end", "2e-4"]) == 0
+        # at the largest float instead of dividing by 0. Starting on the
+        # surface keeps the state small, so V stays finite over the 3 rows
+        # (from x0 = 1 it overflows; see TestSignalsAndColumns).
+        cfg = load_config(preset_path("regulation-smooth"))
+        cfg["controller"].update(rho=1e-300, phi=1e-30)
+        cfg["x0"] = [0.0]
+        with pytest.warns(TuningWarning, match="band crossing"):
+            assert main(["verify", write_scenario(tmp_path, cfg), "--t-end", "2e-4"]) == 0
         out = capsys.readouterr().out
         m, delta = map(float, re.search(r"^m = (\S+)  delta = (\S+)$", out, re.M).groups())
         assert math.isfinite(m) and math.isfinite(delta)
@@ -317,6 +323,64 @@ def smcsim_cli(*argv, timeout=60):
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     return subprocess.run([sys.executable, "-m", "smcsim", *argv], capture_output=True,
                           text=True, timeout=timeout, env=env)
+
+
+class TestSignalsAndColumns:
+    """A declared signal bound is checked on the values the runner
+    integrates, and an overflowing log column is a divergence."""
+
+    @staticmethod
+    def table_scenario(tmp_path, rows, t_end, dt=1e-4):
+        (tmp_path / "wave.csv").write_text("".join(f"{t!r},{v!r}\n" for t, v in rows))
+        cfg = load_config(preset_path("regulation-smooth"))
+        cfg["integration"].update(t_end=t_end, dt=dt)
+        cfg["uncertainty"] = {"kind": "custom_table", "path": "wave.csv", "bound": 1.0}
+        return write_scenario(tmp_path, cfg)
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_spike_between_samples_exits_2(self, tmp_path, capsys, command):
+        # A 2e-7 s wide spike to 5 at t = 0.5: the instants 49999/99999 and
+        # 50000/99999 of an even sampling of [0, 1] fall on either side of
+        # it, but t = 0.5 is one of the runner's samples.
+        path = self.table_scenario(tmp_path, [(0.0, 0.0), (0.4999999, 0.0), (0.5, 5.0),
+                                              (0.5000001, 0.0), (1.0, 0.0)], t_end=1.0)
+        out_dir = tmp_path / "out"
+        assert main([command, path] + (["--out", str(out_dir)] if command == "run" else [])) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: custom_table exceeds its declared bound 1.0 at t = 0.5: value 5.0\n"
+        assert out == ("eta = 0.00414213562\n" if command == "verify" else "")
+        assert not out_dir.exists()
+
+    def test_table_covering_exactly_the_horizon_runs(self, tmp_path):
+        # The last sample, 700*1e-3, lies one ulp past t_end = 0.7 and the
+        # last knot; it reads the last knot's value.
+        path = self.table_scenario(tmp_path, [(0.0, 0.0), (0.7, 1.0)], t_end=0.7, dt=1e-3)
+        assert main(["verify", path]) == 0
+        assert main(["run", path, "--out", str(tmp_path)]) == 0
+        csv = tmp_path / "regulation-smooth.csv"
+        columns = csv.read_text().split("\n", 1)[0].split(",")
+        last = np.loadtxt(csv, delimiter=",", skiprows=1)[-1]
+        assert last[0] == 700 * 1e-3 > 0.7
+        assert last[columns.index("delta_f")] == 1.0
+
+    def test_table_ending_before_the_horizon_is_refused_at_load(self, tmp_path, capsys):
+        path = self.table_scenario(tmp_path, [(0.0, 0.0), (0.7 - 1e-9, 1.0)], t_end=0.7,
+                                   dt=1e-3)
+        assert main(["verify", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: uncertainty: t = 0.7 outside table horizon [0.0, 0.69")
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_overflowing_lyapunov_value_exits_3(self, tmp_path, command):
+        # At rho = 1e-300 the gain grows by about 1e296 a sample. At row 2
+        # x, s and u are still finite but V overflows; numpy must not warn.
+        path = short_smooth(tmp_path, t_end=2e-4, rho=1e-300, phi=1e-30)
+        res = smcsim_cli(command, path, *(["--out", str(tmp_path)] if command == "run" else []))
+        assert res.returncode == 3
+        assert "RuntimeWarning" not in res.stderr
+        assert "numerical blow-up: V became non-finite at t = 0.0002 s (row 2; state x = [" \
+            in res.stderr
 
 
 class TestLoadWarnings:
@@ -526,7 +590,7 @@ class TestForkedCompare:
         def failing(sc):
             (started / sc.name).touch()
             if sc.name == "fails":
-                raise ControllabilityError("g vanished")
+                raise ParameterError("g vanished")
             return run(sc)
 
         monkeypatch.setattr(cli, "run_scenario", failing)
@@ -554,7 +618,7 @@ class TestForkedCompare:
             if sc.name == "diverges":
                 raise SimulationDiverged(0.125, row=3, state=(1.0,), u=2.0, gain=3.0)
             if sc.name == "fails":
-                raise ControllabilityError("g vanished")
+                raise ParameterError("g vanished")
             return run(sc)
 
         monkeypatch.setattr(cli, "run_scenario", failing)

@@ -357,7 +357,7 @@ class TestCustomTable:
             load_scenario(str(cfg_path))
 
     def test_table_shorter_than_horizon_rejected(self, tmp_path):
-        # dense bound check samples the whole horizon and hits the table edge
+        # the load evaluates each signal at t_end, past the table's last knot
         (tmp_path / "short.csv").write_text("0.0,0.1\n1.0,0.1\n")
         cfg = smooth_config()
         cfg["uncertainty"] = {"kind": "custom_table", "path": "short.csv", "bound": 1.0}

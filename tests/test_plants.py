@@ -90,11 +90,53 @@ class TestSignals:
         assert sig.value(0.0) == 0.5
         assert sig.value(1.5) == -0.125
 
+    def test_table_end_allowance(self):
+        # 700*1e-3 rounds one ulp above 0.7, and sim.row_count admits it.
+        sig = TableSignal([0.0, 0.7], [0.0, 1.0], 1.0)
+        assert sig.values([700 * 1e-3, 0.7 + 5e-13]).tolist() == [1.0, 1.0]
+        with pytest.raises(DomainError, match="outside table horizon"):
+            sig.values([0.7 + 1e-9])
+
     def test_dense_bound_check(self):
-        assert verify_signal_bound(smooth_signal(), 30.0) <= 2.3
+        instants = np.arange(300_001) * 1e-4
+        assert np.max(np.abs(verify_signal_bound(smooth_signal(), instants))) <= 2.3
         hot = MultiSineSignal([1.5], [0.5], [0.0], 1.0)
         with pytest.raises(ParameterError):
-            verify_signal_bound(hot, 30.0)
+            verify_signal_bound(hot, instants)
+
+    def test_bound_check_returns_values_and_names_first_breach(self):
+        instants = np.arange(4000) * 1e-3
+        sig = smooth_signal()
+        assert np.array_equal(verify_signal_bound(sig, instants), sig.values(instants))
+        hot = MultiSineSignal([1.5], [0.5], [0.0], 1.0)
+        first = instants[np.argmax(np.abs(hot.values(instants)) > 1.0)]
+        with pytest.raises(ParameterError) as err:
+            verify_signal_bound(hot, instants)
+        value = float(hot.values([first])[0])
+        assert str(err.value) == (f"smooth_multi_sine exceeds its declared bound 1.0 at "
+                                  f"t = {float(first)!r}: value {value!r}")
+
+    def test_bound_check_refuses_nan(self):
+        class Broken:
+            kind, bound = "broken", 1.0
+
+            def values(self, t):
+                return np.full(len(t), math.nan)
+
+        with pytest.raises(ParameterError, match="at t = 0.0: value nan"):
+            verify_signal_bound(Broken(), [0.0, 1.0])
+
+    def test_plant_inputs_check_every_signal(self):
+        hot = MultiSineSignal([1.5], [0.5], [0.0], 1.0)
+        ok = MultiSineSignal([0.5], [0.5], [0.0], 1.0)
+        plants = [RegulationPlant(hot), LinearPlant(-1.0, 2.0, hot),
+                  TrackingPlant(hot, ok, SineReference(1.0, 1.0), 2.0),
+                  TrackingPlant(ok, hot, SineReference(1.0, 1.0), 2.0)]
+        for plant in plants:
+            assert plant.inputs([0.0, 1.0])  # within the bound
+            for inputs in (plant.inputs, plant.stage_inputs):
+                with pytest.raises(ParameterError, match="at t = 3.0"):
+                    inputs([0.0, 3.0])
 
     def test_non_finite_rejected(self):
         with pytest.raises(ParameterError):

@@ -1,6 +1,7 @@
 import math
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from smcsim.controllers import ClassicalSMC, DeltaAdaptiveSMC
 from smcsim import sim
 from smcsim.core import overshoot_bound, ultimate_band
 from smcsim.errors import (
-    ControllabilityError,
     DomainError,
     InsufficientDataError,
     ParameterError,
@@ -153,6 +153,26 @@ class TestRunScenario:
         assert exc.u == -0.001 and exc.gain == 0.001
         assert f"(row {exc.row}; last finite state x = [{exc.state[0]!r}]" in str(exc)
 
+    @pytest.mark.parametrize("column, ctl, row", [
+        ("V", DeltaAdaptiveSMC(phi=1e-30, rho=1e-300, k=2.0, mu_hat0=0.001), 2),
+        ("Vprime", DeltaAdaptiveSMC(phi=0.01, rho=1.0, k=1e-300, mu_hat0=1e10), 0),
+    ])
+    def test_overflowing_lyapunov_column_is_divergence(self, column, ctl, row):
+        # The state, s and u stay finite; the column overflows without a
+        # numpy warning and the report names it with that row's values.
+        sc = Scenario("overflow", RegulationPlant(smooth_signal()), ctl, (1.0,),
+                      IntegrationSettings(dt=1e-4, t_end=1e-3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SimulationDiverged) as err:
+                run_scenario(sc)
+        exc = err.value
+        assert (exc.row, exc.time) == (row, row * 1e-4)
+        assert math.isfinite(exc.state[0]) and math.isfinite(exc.u) and math.isfinite(exc.gain)
+        assert str(exc) == (f"{column} became non-finite at t = {row * 1e-4:.6g} s "
+                            f"(row {row}; state x = [{exc.state[0]!r}], u = {exc.u!r}, "
+                            f"gain = {exc.gain!r})")
+
     def test_divergence_survives_pickling(self):
         # compare sends a child's exception to its parent by pickle.
         exc = SimulationDiverged(1.5, row=3, state=(1.0,), u=2.0, gain=3.0)
@@ -189,21 +209,6 @@ class TestRunScenario:
         sc = Scenario("failing", Failing(zero_signal()), ClassicalSMC(1.0), (1.0,),
                       IntegrationSettings(dt=0.01, t_end=1.0))
         with pytest.raises(error, match="from the plant"):
-            run_scenario(sc)
-
-    def test_zero_g_aborts(self):
-        class DeadChannel(RegulationPlant):
-            def sample(self, x1, x2, w):
-                return x1, 0.0, 0.0, w
-
-        sc = Scenario(
-            name="dead",
-            plant=DeadChannel(zero_signal()),
-            controller=ClassicalSMC(1.0),
-            x0=(1.0,),
-            settings=IntegrationSettings(dt=0.01, t_end=1.0),
-        )
-        with pytest.raises(ControllabilityError):
             run_scenario(sc)
 
     def test_block_inputs_stay_bounded(self, monkeypatch):
