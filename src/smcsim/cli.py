@@ -5,6 +5,7 @@ Exit codes: 0 success (including "not applicable" verification outcomes),
 """
 
 import argparse
+from itertools import chain
 import json
 import math
 import os
@@ -134,10 +135,14 @@ def _forked_map(fn, items):
     """[fn(x) for x in items] on W processes; raises the first exception in
     input order.
 
-    W is the number of usable CPUs, at most len(items), and 1 without
-    os.fork. This process and W - 1 forked children take the items in input
+    With cpus the number of usable CPUs (1 without os.fork), W is
+    len(items) when there are fewer than 2*cpus items, so that every CPU
+    stays busy to the end and none time-shares more than two; else W is
+    cpus. This process and W - 1 forked children take the items in input
     order from one queue, each the next untaken one whenever it is free, so
-    a process on a slow CPU runs fewer of them. A process that raises takes
+    a process on a slow CPU runs fewer of them. This process takes the
+    first ticket itself and fills the queue only after the last fork, so
+    the first item started is always its own. A process that raises takes
     the rest off the queue: the others finish the item in hand and start no
     other. The children inherit fn and items through fork, so neither needs
     to pickle; a child sends the index of each item it takes, then its
@@ -148,20 +153,23 @@ def _forked_map(fn, items):
     import signal
 
     n = len(items)
-    w = min(_usable_cpus(), n) if hasattr(os, "fork") else 1
+    cpus = _usable_cpus() if hasattr(os, "fork") else 1
+    w = n if n < 2 * cpus else cpus
     outcomes = [None] * n
-    # The queue: a pipe of 4-byte tickets, each the first of `per` items,
-    # all written before the first fork. A 4-byte read takes one whole
-    # ticket, so each goes to one process. At most 1024 tickets (4 KiB):
-    # the write never waits for a reader.
+    # The queue: a pipe of 4-byte tickets, each the first of `per` items. A
+    # 4-byte read takes one whole ticket, so each goes to one process. At
+    # most 1024 tickets (4 KiB): the one write is atomic and never waits for
+    # a reader. A process reads the queue as empty only once no process
+    # holds its write end.
     per = n // 1024 + 1
-    queue, wr = os.pipe()
-    os.write(wr, b"".join(k.to_bytes(4, "little") for k in range(0, n, per)))
-    os.close(wr)
+    queue, queue_wr = os.pipe()
 
-    def run(started, finished):
+    def tickets():
         while ticket := os.read(queue, 4):
-            k = int.from_bytes(ticket, "little")
+            yield int.from_bytes(ticket, "little")
+
+    def run(ks, started, finished):
+        for k in ks:
             for i in range(k, min(k + per, n)):
                 started(i)
                 try:
@@ -184,18 +192,22 @@ def _forked_map(fn, items):
                 status = 1
                 try:
                     os.close(r)
+                    os.close(queue_wr)
                     with os.fdopen(wr, "wb") as pipe:
                         def send(obj):
                             pipe.write(pickle.dumps(obj))
                             pipe.flush()
-                        run(send, lambda i, out: send(out))
+                        run(tickets(), send, lambda i, out: send(out))
                     sys.stderr.flush()
                     status = 0
                 finally:
                     os._exit(status)
             os.close(wr)
             children.append((pid, os.fdopen(r, "rb")))
-        run(lambda i: None, outcomes.__setitem__)
+        os.write(queue_wr, b"".join(k.to_bytes(4, "little") for k in range(per, n, per)))
+        os.close(queue_wr)
+        queue_wr = None
+        run(chain([0], tickets()), lambda i: None, outcomes.__setitem__)
         while children:
             pid, pipe = children[0]
             lost = None
@@ -223,6 +235,8 @@ def _forked_map(fn, items):
         raise
     finally:
         os.close(queue)
+        if queue_wr is not None:
+            os.close(queue_wr)
         for pid, pipe in children:
             pipe.close()
             os.waitpid(pid, 0)

@@ -26,9 +26,12 @@ k (a stable radix sort on int8). Within a group every value prints the same
 way: fixed notation for -4 <= k < P ("ddd.ddd" or "0.000ddd"), otherwise
 "d.ddde+XX" with the group's exponent. The P digits come from a table of
 4-digit ASCII chunks and are copied into fixed-width byte rows behind a sign
-column; a keep mask drops the "-" of positive values, the trailing zeros
-(counted with a matching table) and a "." with nothing after it. The rows go
-back to the order of the values and one compress joins the kept bytes.
+column. Every byte that does not print is NUL: the sign slot of a positive
+value, the digits after the point that follow the last significant one (a
+chunk with only zeros after it is read from a second table, whose trailing
+zeros are NUL) and a "." with no digit after it. The rows go back to the
+order of the values, and one ``bytes.translate`` deletes the NULs; every
+printed byte is non-NUL ASCII.
 
 Zeros are formatted in the same arrays. Every other value (non-finite or out
 of the exact range) is formatted with ``%`` and placed in its row.
@@ -49,14 +52,15 @@ _U = np.uint64
 _LOW32 = _U(0xFFFFFFFF)
 _POW5_LO = np.array([5 ** i & 0xFFFFFFFF for i in range(28)], dtype=_U)
 _POW5_HI = np.array([5 ** i >> 32 for i in range(28)], dtype=_U)
-# 4-digit ASCII chunks as uint32, so that one take fetches four bytes, and
-# the number of trailing zeros of each chunk (4 for 0000). Built in uint16 so
-# that no temporary reaches glibc's mmap threshold at import.
-_CHUNK = np.arange(10000, dtype=np.uint16)
-_DIGITS4 = _CHUNK[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10 + ord("0")
-_DIGITS4 = _DIGITS4.astype(np.uint8).view(np.uint32).ravel()
-_TZ4 = sum((_CHUNK % 10 ** j == 0).astype(np.int8) for j in range(1, 5))
-_ARANGE = np.arange(P)
+# 4-digit ASCII chunks as uint32, so that one take fetches four bytes: entry
+# c is chunk c, entry 10000 + c the same chunk with its trailing zeros NUL
+# (all four for 0000). Built in uint16 and uint8 so that no temporary reaches
+# glibc's mmap threshold at import.
+_CHUNK = np.arange(10000, dtype=np.uint16)[:, None]
+_PLACE = np.array([1000, 100, 10, 1], np.uint16)
+_DIGITS4 = (_CHUNK // _PLACE % 10 + ord("0")).astype(np.uint8)
+_DIGITS4 = np.concatenate([_DIGITS4, _DIGITS4 * (_CHUNK % (10 * _PLACE) != 0)])
+_DIGITS4 = _DIGITS4.view(np.uint32).ravel()
 
 
 def _scaled(M, e, p):
@@ -112,55 +116,52 @@ def _chunks(y, n):
 
 
 def _layout(D, k, neg):
-    """Byte rows of WIDTH and their keep mask for digits D, exponents k and
-    signs neg, sorted by k; returns (rows, keep, order of the sort)."""
+    """Byte rows of WIDTH for digits D, exponents k and signs neg, sorted by
+    k, with NUL in every byte that does not print; returns (rows, order of
+    the sort)."""
     order = np.argsort(k.astype(np.int8), kind="stable")
     ks = k[order]
-    chunks = _chunks(D[order], (P + 3) // 4)
-    digits = np.stack([_DIGITS4[c] for c in reversed(chunks)], axis=1).view(np.uint8)
+    # A chunk with only zeros after it is read from the table's second half,
+    # so the digits after the last significant one are NUL; D = 0 is all NUL.
+    bare = np.full(D.size, 10000)
+    quads = []
+    for c in _chunks(D[order], (P + 3) // 4):
+        quads.append(_DIGITS4[c + bare])
+        bare *= c == 0
+    digits = np.stack(quads[::-1], axis=1).view(np.uint8)
     digits = digits[:, digits.shape[1] - P:]
-    # Significant digits without the trailing zeros; 1 for D = 0, printed "0".
-    tz = _TZ4[chunks[-1]]
-    for c in chunks[-2::-1]:
-        tz = _TZ4[c] + (c == 0) * tz
-    nd = np.maximum(P - tz, 1)[:, None]
 
-    rows = np.empty((D.size, WIDTH), np.uint8)
-    keep = np.zeros((D.size, WIDTH), bool)
-    rows[:, 0] = ord("-")
-    keep[:, 0] = neg[order]
+    rows = np.zeros((D.size, WIDTH), np.uint8)
+    rows[:, 0] = neg[order] * np.uint8(ord("-"))
     cuts = [0, *(np.flatnonzero(np.diff(ks)) + 1).tolist(), D.size]
     for s0, s1 in zip(cuts[:-1], cuts[1:]):
         x = int(ks[s0])
         r = slice(s0, s1)
         # %g: fixed notation for -4 <= x < P, else d.ddde+XX. "head" and the
-        # first b digits always print; the rest, and the point before them,
-        # only up to the last significant digit.
+        # first b digits always print (a NUL among these is a 0); the rest,
+        # and the point before them, only up to the last significant digit.
         if -4 <= x < P:
             head, b, tail = ("0." + "0" * (-x - 1), 0, "") if x < 0 else ("", x + 1, "")
         else:
             head, b, tail = "", 1, f"e{x:+03d}"
         c = 1 + len(head)
         rows[r, 1:c] = np.frombuffer(head.encode(), np.uint8)
-        rows[r, c:c + b] = digits[r, :b]
-        keep[r, 1:c + b] = True
+        np.bitwise_or(digits[r, :b], ord("0"), out=rows[r, c:c + b])
         c += b
         if b:
-            rows[r, c] = ord(".")
-            keep[r, c] = nd[r, 0] > b
+            if b < P:
+                rows[r, c] = np.minimum(digits[r, b], ord("."))
             c += 1
         rows[r, c:c + P - b] = digits[r, b:]
-        np.less(_ARANGE[b:P], nd[r], out=keep[r, c:c + P - b])
         c += P - b
         rows[r, c:c + len(tail)] = np.frombuffer(tail.encode(), np.uint8)
-        keep[r, c:c + len(tail)] = True
-    return rows, keep, order
+    return rows, order
 
 
 def block_rows(ncols):
     """Rows per format_rows call that keep its largest temporaries, the byte
-    rows and keep mask of WIDTH bytes a value, within 120 KiB: under glibc's
-    128 KiB mmap threshold with room for allocator headers. A larger
+    rows of WIDTH bytes a value and their bytes copy, within 120 KiB: under
+    glibc's 128 KiB mmap threshold with room for allocator headers. A larger
     temporary is mapped and faulted in afresh on every call, unless an
     earlier free of a larger block raised the threshold."""
     return max(1, 120 * 1024 // (ncols * WIDTH))
@@ -174,7 +175,6 @@ def format_rows(block):
     ncols = block.shape[1]
     v = block.ravel()
     out = np.empty((v.size, WIDTH), np.uint8)
-    keep = np.empty((v.size, WIDTH), bool)
     a = np.abs(v)
     inside = (a >= EXACT_MIN) & (a < EXACT_MAX)
     # 2.0 stands in for the values printed by % below.
@@ -182,17 +182,13 @@ def format_rows(block):
     zero = a == 0.0
     D[zero] = 0
     k[zero] = 0
-    rows, rows_keep, order = _layout(D, k, np.signbit(v))
+    rows, order = _layout(D, k, np.signbit(v))
     # Back to the order of the values, a row at a time.
     out.view(f"V{WIDTH}")[order] = rows.view(f"V{WIDTH}")
-    keep.view(f"V{WIDTH}")[order] = rows_keep.view(f"V{WIDTH}")
     rest = np.flatnonzero(~(inside | zero))
-    if rest.size:
+    if rest.size:  # NUL-padded, like the rows
         text = np.array(["%.17g" % x for x in v[rest].tolist()], dtype=f"S{WIDTH - 1}")
-        text = text.view(np.uint8).reshape(rest.size, WIDTH - 1)
-        out[rest, :-1] = text
-        keep[rest, :-1] = text != 0
+        out[rest, :-1] = text.view(np.uint8).reshape(rest.size, WIDTH - 1)
     out[:, -1] = ord(",")
     out[ncols - 1::ncols, -1] = ord("\n")
-    keep[:, -1] = True
-    return np.compress(keep.ravel(), out.ravel()).tobytes()
+    return out.tobytes().translate(None, b"\0")

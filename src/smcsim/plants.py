@@ -196,17 +196,27 @@ class TableSignal(_Signal):
         return v_lo + (vs[hi] - v_lo) * w
 
 
-def verify_signal_bound(signal, t):
+def verify_signal_bound(signal, t, *others):
     """signal.values(t), once |value| <= bound is checked at every instant of
-    t (a 1e-12 relative allowance absorbs interpolation rounding). Raises
-    ParameterError at the first instant that breaks it."""
-    v = signal.values(t)
-    ok = np.abs(v) <= signal.bound * (1.0 + 1e-12)  # False on NaN too
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise ParameterError(f"{signal.kind} exceeds its declared bound {signal.bound!r} at "
-                             f"t = {float(_instants(t)[i])!r}: value {float(v[i])!r}")
-    return v
+    t (a 1e-12 relative allowance absorbs interpolation rounding); with
+    other signals, the list of each one's values, each checked alike.
+    Raises ParameterError at the earliest instant, in time, at which any of
+    them breaks its bound."""
+    t = _instants(t)
+    values, breaches = [], []
+    for sig in (signal, *others):
+        v = sig.values(t)
+        ok = np.abs(v) <= sig.bound * (1.0 + 1e-12)  # False on NaN too
+        if not ok.all():
+            bad = np.flatnonzero(~ok)
+            i = bad[np.argmin(t[bad])]
+            breaches.append((t[i], sig, v[i]))
+        values.append(v)
+    if breaches:
+        ti, sig, vi = min(breaches, key=lambda b: b[0])
+        raise ParameterError(f"{sig.kind} exceeds its declared bound {sig.bound!r} at "
+                             f"t = {float(ti)!r}: value {float(vi)!r}")
+    return values if others else values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +364,14 @@ class TrackingPlant(_Plant):
     true_bound = None
 
     def inputs(self, t):
-        dx1 = 1.0 + verify_signal_bound(self.mult, t)
+        mult, add = verify_signal_bound(self.mult, t, self.add)
         yd, yd_dot, yd_ddot = self.reference.values(t)
-        return list(zip(dx1.tolist(), verify_signal_bound(self.add, t).tolist(),
+        return list(zip((1.0 + mult).tolist(), add.tolist(),
                         yd.tolist(), yd_dot.tolist(), yd_ddot.tolist()))
 
     def stage_inputs(self, t):
-        return list(zip((1.0 + verify_signal_bound(self.mult, t)).tolist(),
-                        verify_signal_bound(self.add, t).tolist()))
+        mult, add = verify_signal_bound(self.mult, t, self.add)
+        return list(zip((1.0 + mult).tolist(), add.tolist()))
 
     def rhs(self, x1, x2, w, u):
         dx1 = w[0]

@@ -112,10 +112,10 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     inputs are evaluated once, vectorized, at the instants the loop uses:
     the samples i*dt, which start each RK4 step, and the step's midpoint
     i*dt + 0.5*dt and end i*dt + dt (the last two through
-    ``plant.stage_inputs``), which raise ParameterError at the first value
-    above its signal's declared bound. Each row is one ``plant.sample`` call,
-    one controller step and one ``plant.advance`` call; all three return
-    plain tuples.
+    ``plant.stage_inputs``). A value above its signal's declared bound
+    raises ParameterError naming the block's earliest offending instant.
+    Each row is one ``plant.sample`` call, one controller step and one
+    ``plant.advance`` call; all three return plain tuples.
 
     Raises SimulationDiverged when the state, the surface or the control
     leaves the finite range (the surface is checked before the controller
@@ -164,9 +164,16 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
         c1 = min(c0 + BLOCK, n)
         grid = t_arr[c0:c1]
         m = min(c1, n - 1) - c0  # rows that integrate on to the next sample
-        w_start = inputs(grid)
-        w_mid = stage_inputs(grid[:m] + 0.5 * dt)
-        w_end = stage_inputs(grid[:m] + dt)
+        t_mid, t_next = grid[:m] + 0.5 * dt, grid[:m] + dt
+        try:
+            w_start = inputs(grid)
+            w_mid = stage_inputs(t_mid)
+            w_end = stage_inputs(t_next)
+        except ParameterError:
+            # A bound breach: name the block's earliest offending instant,
+            # over all three arrays. Only this path evaluates them again.
+            stage_inputs(np.concatenate((grid, t_mid, t_next)))
+            raise
         rows = []  # (x1, x2, s, u, gain, gain_rate, delta_f)
         try:
             for k, i in enumerate(range(c0, c1)):

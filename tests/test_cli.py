@@ -351,6 +351,24 @@ class TestSignalsAndColumns:
         assert out == ("eta = 0.00414213562\n" if command == "verify" else "")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_breach_names_earliest_instant_of_block(self, tmp_path, capsys, command):
+        # At dt = 0.0199 the RK4 midpoint 73.5*dt breaks the bound before the
+        # sample 74*dt does; t = 0 and t_end = 5 are within it.
+        cfg = load_config(preset_path("regulation-smooth"))
+        cfg["integration"].update(t_end=5.0, dt=0.0199)
+        cfg["uncertainty"] = {"kind": "smooth_multi_sine", "amplitudes": [1.5],
+                              "frequencies": [0.5], "phases": [0.0], "bound": 1.0}
+        path = write_scenario(tmp_path, cfg)
+        out_dir = tmp_path / "out"
+        with pytest.warns(TuningWarning, match="samples fit a worst-case band crossing"):
+            rc = main([command, path] + (["--out", str(out_dir)] if command == "run" else []))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == ("error: smooth_multi_sine exceeds its declared bound 1.0 at "
+                       "t = 1.46265: value 1.0017846081172268\n")
+        assert not out_dir.exists()
+
     def test_table_covering_exactly_the_horizon_runs(self, tmp_path):
         # The last sample, 700*1e-3, lies one ulp past t_end = 0.7 and the
         # last knot; it reads the last knot's value.
@@ -454,17 +472,19 @@ class TestEndToEndDeterminism:
 TRIO = ("compare-smooth-adaptive", "compare-smooth-plestan-fast", "compare-smooth-plestan-slow")
 
 
-def compare_files(tmp_path, t_end=0.5):
-    """The compare-smooth trio cut to t_end, and a fourth delta-adaptive
-    scenario on the same plant with a slower adaptation."""
+def compare_files(tmp_path, t_end=0.5, count=4):
+    """The compare-smooth trio cut to t_end, then count - 3 delta-adaptive
+    scenarios on the same plant with slower adaptations (the first of them
+    "slow-adaptive", at rho = 3)."""
     files = []
     for preset in TRIO:
         cfg = load_config(preset_path(preset))
         cfg["integration"]["t_end"] = t_end
         files.append(write_scenario(tmp_path, cfg, preset + ".json"))
-    cfg["name"] = "slow-adaptive"
-    cfg["controller"] = dict(load_config(preset_path(TRIO[0]))["controller"], rho=3.0)
-    files.append(write_scenario(tmp_path, cfg, "slow-adaptive.json"))
+    for j in range(count - 3):
+        cfg["name"] = f"slow-adaptive-{j}" if j else "slow-adaptive"
+        cfg["controller"] = dict(load_config(preset_path(TRIO[0]))["controller"], rho=3.0 + j)
+        files.append(write_scenario(tmp_path, cfg, cfg["name"] + ".json"))
     return files
 
 
@@ -491,16 +511,24 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+class FirstCall(Exception):
+    """Raised by a first-call hook, as the benchmark's set-up probe does."""
+
+
 class TestForkedCompare:
-    @pytest.mark.parametrize("n, w", [(2, 2), (4, 2), (4, 3)])
-    def test_outputs_identical_to_one_process(self, tmp_path, monkeypatch, capsys, n, w):
-        # At 4 scenarios and w = 3 one process runs two scenarios.
-        files = compare_files(tmp_path)[:n]
+    # W is n below 2*w usable CPUs, else w: (3, 2) runs three processes at
+    # once, (4, 2) two processes of two scenarios each, (7, 3) three.
+    @pytest.mark.parametrize("n, w, forks", [(2, 2, 1), (3, 2, 2), (4, 2, 1), (4, 3, 3),
+                                             (7, 3, 2)],
+                             ids=["2-2", "3-2", "4-2", "4-3", "7-3"])
+    def test_outputs_identical_to_one_process(self, tmp_path, monkeypatch, capsys, n, w,
+                                              forks):
+        files = compare_files(tmp_path, count=max(n, 4))[:n]
         one = compare_on(monkeypatch, capsys, 1, files, tmp_path / "one")
         many = compare_on(monkeypatch, capsys, w, files, tmp_path / "many")
         assert one[0] == many[0] == 0
         assert one[1:3] == many[1:3]
-        assert (one[3], many[3]) == (0, w - 1)
+        assert (one[3], many[3]) == (0, forks)
         names = sorted(p.name for p in (tmp_path / "one").iterdir())
         assert len(names) == 3 * n
         assert names == sorted(p.name for p in (tmp_path / "many").iterdir())
@@ -532,6 +560,61 @@ class TestForkedCompare:
         assert (rc, forks) == (0, 1), err
         assert "lowest chattering_index" in out
 
+    @staticmethod
+    def slow_fork(monkeypatch):
+        """os.fork, after which this process sleeps 0.3 s: a child that
+        found a ticket in the queue then would take the first."""
+        fork = os.fork
+
+        def slow():
+            pid = fork()
+            if pid:
+                time.sleep(0.3)
+            return pid
+
+        monkeypatch.setattr(os, "fork", slow)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_caller_runs_the_first_item(self, tmp_path, monkeypatch, capsys, n):
+        # On 2 CPUs, 2 scenarios run on W = 2 processes and 3 on W = 3.
+        parent, run = os.getpid(), cli.run_scenario
+        ran = tmp_path / "ran"
+        ran.mkdir()
+
+        def recording(sc):
+            (ran / f"{sc.name}.{os.getpid()}").touch()
+            return run(sc)
+
+        self.slow_fork(monkeypatch)
+        monkeypatch.setattr(cli, "run_scenario", recording)
+        files = compare_files(tmp_path)[:n]
+        rc, _, err, forks = compare_on(monkeypatch, capsys, 2, files, tmp_path / "out")
+        assert (rc, forks) == (0, n - 1), err
+        assert (ran / f"{TRIO[0]}.{parent}").exists()
+        assert len(list(ran.iterdir())) == n
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_first_call_hook_fires_in_the_caller(self, tmp_path, monkeypatch, capsys, n):
+        # The hook raises at the first call in each process, as a set-up
+        # probe does; the calling process's own first call must come.
+        parent, run = os.getpid(), cli.run_scenario
+        fired = tmp_path / "fired"
+        fired.mkdir()
+
+        def first(sc):
+            (fired / str(os.getpid())).touch()
+            cli.run_scenario = run
+            raise FirstCall
+
+        self.slow_fork(monkeypatch)
+        monkeypatch.setattr(cli, "run_scenario", first)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        with pytest.raises(FirstCall):
+            main(["compare", *compare_files(tmp_path)[:n], "--out", str(tmp_path / "out")])
+        assert (fired / str(parent)).exists()
+        assert_no_child_left()
+
     def test_slow_process_runs_fewer(self, tmp_path, monkeypatch, capsys):
         # This process holds its first scenario until the child has run the
         # other three: the queue hands each to whichever process is free.
@@ -559,8 +642,9 @@ class TestForkedCompare:
         assert_no_child_left()
 
     def test_child_without_result_exits_2(self, tmp_path, monkeypatch, capsys):
-        # This process holds its first scenario until the child has ended, so
-        # the child takes one of the first two.
+        # 3 scenarios on 2 CPUs fork twice. This process runs input 1 and
+        # holds it until a child has ended; the first child to read the
+        # queue takes input 2, and a child that ends sends no result.
         parent, run = os.getpid(), cli.run_scenario
         died = tmp_path / "died"
 
@@ -575,14 +659,15 @@ class TestForkedCompare:
         files = compare_files(tmp_path, t_end=1.0)[:3]
         rc, out, err, _ = compare_on(monkeypatch, capsys, 2, files, tmp_path)
         assert (rc, out) == (2, "")
-        assert err in [f"error: the process running input {i} of 3 ended without a result "
-                       "(exit status 7)\n" for i in (1, 2)]
+        assert err == "error: the process running input 2 of 3 ended without a result " \
+            "(exit status 7)\n"
         assert_no_child_left()
 
     @pytest.mark.parametrize("w", [1, 2])
     def test_no_scenario_starts_after_a_failure(self, tmp_path, monkeypatch, capsys, w):
-        # The failing scenario is first; at w = 2 the other process may have
-        # taken the second before the failure, but no process takes a third.
+        # The failing scenario is first, and this process runs it; at w = 2
+        # (5 scenarios, so two processes) the child may have taken the second
+        # before the failure, but no process takes a third.
         run = cli.run_scenario
         started = tmp_path / "started"
         started.mkdir()
@@ -610,8 +695,8 @@ class TestForkedCompare:
                                              (("ok", "fails", "diverges"), 2)])
     def test_first_failure_in_input_order_decides(self, tmp_path, monkeypatch, capsys,
                                                   w, order, code):
-        # At w = 2 the two processes take inputs 1 and 2; the failure at
-        # input 2 stops the queue, so input 3 is never started.
+        # At w = 2 the three inputs run at once on three processes; the
+        # first failure in input order decides, whichever ends first.
         run = cli.run_scenario
 
         def failing(sc):

@@ -126,6 +126,25 @@ class TestSignals:
         with pytest.raises(ParameterError, match="at t = 0.0: value nan"):
             verify_signal_bound(Broken(), [0.0, 1.0])
 
+    def test_bound_check_names_earliest_breach_over_signals(self):
+        # Instants out of order; the first signal breaks its bound at 2.0 and
+        # 3.0, the second at 1.0 and 2.0: the breach named is at 1.0.
+        late = MultiSineSignal([1.5], [0.5], [0.0], 1.0)
+        early = MultiSineSignal([1.5], [1.0], [0.0], 1.0)
+        instants = [3.0, 2.0, 1.0]
+        with pytest.raises(ParameterError, match=r"at t = 2\.0: "):
+            verify_signal_bound(late, instants)
+        with pytest.raises(ParameterError, match=r"at t = 1\.0: value 1\.26"):
+            verify_signal_bound(late, instants, early)
+        ok = MultiSineSignal([0.5], [0.5], [0.0], 1.0)
+        assert [v.tolist() for v in verify_signal_bound(ok, instants, ok)] == \
+            [ok.values(instants).tolist()] * 2
+        for mult, add in ((late, early), (early, late)):
+            plant = TrackingPlant(mult, add, SineReference(1.0, 1.0), 2.0)
+            for inputs in (plant.inputs, plant.stage_inputs):
+                with pytest.raises(ParameterError, match=r"at t = 1\.0: value 1\.26"):
+                    inputs(instants)
+
     def test_plant_inputs_check_every_signal(self):
         hot = MultiSineSignal([1.5], [0.5], [0.0], 1.0)
         ok = MultiSineSignal([0.5], [0.5], [0.0], 1.0)

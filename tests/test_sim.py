@@ -173,6 +173,20 @@ class TestRunScenario:
                             f"(row {row}; state x = [{exc.state[0]!r}], u = {exc.u!r}, "
                             f"gain = {exc.gain!r})")
 
+    @pytest.mark.parametrize("plant, x0", [
+        (RegulationPlant(MultiSineSignal([1.5], [0.5], [0.0], 1.0)), (0.0,)),
+        (TrackingPlant(MultiSineSignal([0.5], [0.5], [0.0], 1.0),
+                       MultiSineSignal([1.5], [0.5], [0.0], 1.0), SineReference(1.0, 1.0), 2.0),
+         (0.0, 0.0)),
+    ], ids=["regulation", "tracking"])
+    def test_bound_breach_names_earliest_instant_of_block(self, plant, x0):
+        # The midpoint 73.5*dt breaks the bound before the sample 74*dt.
+        sc = Scenario("hot", plant, ClassicalSMC(1.0), x0, IntegrationSettings(dt=0.0199, t_end=5.0))
+        with pytest.raises(ParameterError) as err:
+            run_scenario(sc)
+        assert str(err.value) == ("smooth_multi_sine exceeds its declared bound 1.0 at "
+                                  "t = 1.46265: value 1.0017846081172268")
+
     def test_divergence_survives_pickling(self):
         # compare sends a child's exception to its parent by pickle.
         exc = SimulationDiverged(1.5, row=3, state=(1.0,), u=2.0, gain=3.0)
