@@ -8,10 +8,16 @@ sample is computed from the controller state at the sample instant; adaptive
 states then advance once per call. One instance must not be stepped
 concurrently, but distinct instances are independent.
 
-A step checks nothing. s finite, g != 0 and 0 < dt < inf are the caller's
-duty, and ``sim.run_scenario`` guarantees them: ``IntegrationSettings``
-validates dt once, each plant's g is fixed and nonzero from its
-construction, and the runner checks s before each step.
+A step checks nothing, and must not raise on any float s, h and u it is
+given. g != 0 and 0 < dt < inf are the caller's duty, and
+``sim.run_scenario`` guarantees them: ``IntegrationSettings`` validates dt
+once and each plant's g is fixed and nonzero from its construction. s is
+checked after the step, not before: the runner checks the surface, the
+control and the state of a whole block at once, so after a blow-up the rest
+of that block steps on a non-finite s (inf or NaN), whose outputs the run
+then discards as it reports the divergence. The delta-adaptive law's phi is
+refused at construction when phi*phi underflows to 0, so its shape function
+never divides by 0.
 Each controller takes its law's parameters directly, validates them once in
 ``__init__`` and keeps them as attributes next to its adaptive state, which
 ``reset()`` returns to the initial value.
@@ -22,7 +28,8 @@ Only the delta-adaptive law uses h and g; the switching baselines
 
 import warnings
 
-from .core import _require_positive, adaptation_shape, sat, sgn, ultimate_band
+from .core import (_require_layer_width, _require_positive, adaptation_shape, sat, sgn,
+                   ultimate_band)
 from .errors import ParameterError, TuningWarning
 
 
@@ -154,7 +161,8 @@ class DeltaAdaptiveSMC:
 
     def __init__(self, phi: float, rho: float, k: float, mu_hat0: float):
         self.phi, self.rho, self.k, self.mu_hat0 = phi, rho, k, mu_hat0
-        for name in ("phi", "rho", "mu_hat0"):
+        _require_layer_width(phi)
+        for name in ("rho", "mu_hat0"):
             _require_positive(name, getattr(self, name))
         _require_positive("k", k, zero_ok=True)
         limit = 1.0 / ultimate_band(phi)

@@ -14,7 +14,8 @@ approaches 1 from below as |s| grows. The gain-adaptation law scales this
 shape by 1/rho, so the band |s| = eta is where the adaptive gain neither
 grows nor shrinks. sgn, sat, delta_surface and adaptation_shape check
 nothing: their parameters are validated once where they are built, and the
-runner checks s before each step.
+runner checks s once per block of rows. They raise on no float s, inf and
+NaN included, given a phi that ``_require_layer_width`` accepts.
 """
 
 import math
@@ -36,6 +37,17 @@ def _require_positive(name, value, zero_ok=False):
     if not (above and value <= sys.float_info.max):
         what = "non-negative" if zero_ok else "positive"
         raise ParameterError(f"{name} must be a {what} finite number, got {value!r}")
+
+
+def _require_layer_width(phi):
+    """Accept a layer width phi as _require_positive does, and only if
+    phi*phi does not underflow to 0 (phi below about 1.6e-162):
+    adaptation_shape divides by (|s| + phi)**2, which is then at least
+    phi*phi > 0."""
+    _require_positive("phi", phi)
+    if phi * phi == 0.0:
+        raise ParameterError(f"phi = {phi!r} is too small: phi*phi underflows to 0 "
+                             "(phi must be at least about 1.6e-162)")
 
 
 def sgn(s: float) -> int:
@@ -133,7 +145,7 @@ def overshoot_bound(mu, rho, phi) -> OvershootBound:
     if mu < 0.0 or not math.isfinite(mu):
         raise ParameterError(f"mu must be finite and >= 0, got {mu!r}")
     _require_positive("rho", rho)
-    _require_positive("phi", phi)
+    _require_layer_width(phi)
     eta = ultimate_band(phi)
     rp = rho * phi  # 0 when the product underflows
     m_sup = min(math.sqrt(2.0) / rp, sys.float_info.max) if rp else sys.float_info.max

@@ -2,34 +2,50 @@
 
 Every time-dependent input of a plant (disturbances, the multiplicative
 factor, the reference) is a closed form of t alone. A plant therefore splits
-into a vectorized part and a scalar part:
+into a vectorized part and a scalar part, and owns the loop over a block of
+rows. The runner calls two methods per block:
 
-    inputs(t)                    -> one input w per instant of the array t,
-                                    evaluated with numpy in one pass
-    stage_inputs(t)              -> the part of inputs(t) that rhs and
-                                    advance read, for the RK4 midpoint and
-                                    end instants
+    block_inputs(grid, m, dt)    -> w, the inputs of the block as arrays,
+                                    evaluated with numpy in one bound-checked
+                                    call at the samples grid and at the
+                                    midpoints grid[:m] + 0.5*dt and ends
+                                    grid[:m] + dt of the RK4 steps of its
+                                    first m rows
+    run_rows(x1, x2, w, m, step, dt, log)
+                                 -> (x1, x2) after the block. Per row: the
+                                    surface, exactly one controller
+                                    ``step(s, h, g, dt)`` and, on the first m
+                                    rows, one classical RK4 step of length dt
+                                    with u held. The rows' values go to the
+                                    lists of ``log``, a RowLog
+
+The scalar reference forms, one instant or one row at a time, are
+
+    inputs(t)                    -> one input w per instant of the array t
     rhs(x1, x2, w, u)            -> (x1_dot, x2_dot) of the true plant, with
                                     uncertainty in the actuated channel only
-    advance(x1, x2, w0, wm, w1, u, h)
-                                 -> (x1, x2) after one classical RK4 step of
-                                    rhs over h, with the inputs w0, wm, w1 at
-                                    its start, midpoint and end
     sample(x1, x2, w)            -> (s, h, g, delta_f): the surface s, with h
                                     and g from the NOMINAL model (controllers
                                     never see the uncertainty), and the
                                     matched disturbance delta_f entering the
                                     s-dynamics, logged for diagnostics
 
-The runner evaluates ``inputs`` and ``stage_inputs`` once per block of
-instants and calls the scalar methods per row: one ``sample`` and one
-``advance`` over h = dt, the plant taking one RK4 step per sample.
-``advance`` writes the four RK4 stages of its ``rhs`` inline, in the
-operation order of a generic RK4 over ``rhs``, so that the runner makes one
-plant call per step; tests/test_equivalence.py
-pins it to ``rhs`` bit for bit. Plants have at most two states; a
-first-order plant ignores x2, returns 0.0 as its rate and leaves x2
-unchanged in ``advance``.
+The runner calls none of them (``run_rows`` takes ``sample`` only for the
+run's last row, which takes no RK4 step). ``run_rows`` writes the surface
+and the four RK4 stages of ``rhs`` inline, in the operation order of
+``sample`` and of a generic RK4 over ``rhs``, so that the controller step is
+the one call per row; tests/test_equivalence.py pins it to them bit for
+bit. Plants have at most two states; a first-order plant ignores x2, returns
+0.0 as its rate and leaves x2 unchanged.
+
+``run_rows`` appends a row's state before it evaluates the surface, and the
+row's other values once its controller step has returned, so that after a
+ValueError (``math.sin`` of an overflowed value) the lists tell a failed
+sample from a failed RK4 step. A first-order plant appends to x1, u, gain
+and gain_rate only: its surface is its state and its delta_f its sample
+input, which the runner copies from the log and from ``w``. Rows after a
+non-finite value are computed all the same, since float arithmetic does not
+raise on inf or NaN; the runner's check of the block discards them.
 
 ``true_bound`` is the declared bound on the matched disturbance when one
 exists (simulator-side knowledge, hidden from controllers); ``None`` for the
@@ -39,7 +55,7 @@ Each signal has one formula, ``values(t)`` over an array of instants.
 Evaluation is deterministic, and it matches a scalar math-module evaluation
 bit for bit wherever numpy's float64 sin and cos round as math.sin and
 math.cos do, which tests/test_equivalence.py checks on the instants the
-runner uses. ``inputs`` and ``stage_inputs`` pass every signal value
+runner uses. ``inputs`` and ``block_inputs`` pass every signal value
 through ``verify_signal_bound``, the one check of its declared bound.
 
 The scalar wrappers ``_Plant.deriv(x, t, u)``, ``_Signal.value(t)`` and
@@ -137,7 +153,11 @@ class SquareSignal(_Signal):
         # The amplitude of the last schedule entry starting at or before t.
         idx = np.searchsorted(self._starts, t, side="right") - 1
         amp = self._amps[np.maximum(idx, 0)]
-        return np.where(np.floor_divide(t, self.half_period) % 2 == 0, amp, -amp)
+        # Half of an even quotient is whole; this tests parity without a float
+        # remainder, alike for +-0, NaN and quotients beyond 2**53.
+        q = np.floor_divide(t, self.half_period)
+        q *= 0.5
+        return np.where(q == np.floor(q), amp, -amp)
 
 
 class TableSignal(_Signal):
@@ -253,6 +273,22 @@ class SineReference:
 # Plants
 
 
+def _rk4_instants(grid, m, dt):
+    """The samples grid, then the midpoints and the ends of the RK4 steps of
+    its first m rows, with the arithmetic of a per-step loop."""
+    return np.concatenate((grid, grid[:m] + 0.5 * dt, grid[:m] + dt))
+
+
+class RowLog:
+    """One block's rows, one list per log column, as ``run_rows`` appends them."""
+
+    __slots__ = ("x1", "x2", "s", "u", "gain", "gain_rate", "delta_f")
+
+    def __init__(self):
+        for name in self.__slots__:
+            setattr(self, name, [])
+
+
 class _Plant:
     def deriv(self, x, t, u):
         """rhs at the state tuple x and the instant t."""
@@ -260,14 +296,12 @@ class _Plant:
         return self.rhs(x[0], x[1] if len(x) > 1 else 0.0, w, u)[: self.n_states]
 
 
-class RegulationPlant(_Plant):
-    """Scalar plant x_dot = df(t) + u regulated to the surface s = x."""
+class _ScalarPlant(_Plant):
+    """A first-order plant driven by one disturbance signal. Its surface is
+    its state and its delta_f the signal's value at the sample, so its
+    ``run_rows`` logs neither."""
 
-    kind = "regulation"
     n_states = 1
-
-    def __init__(self, signal):
-        self.signal = signal
 
     @property
     def true_bound(self):
@@ -276,21 +310,48 @@ class RegulationPlant(_Plant):
     def inputs(self, t):
         return verify_signal_bound(self.signal, t).tolist()
 
-    stage_inputs = inputs
+    def block_inputs(self, grid, m, dt):
+        """The signal at the samples, midpoints and ends, in that order."""
+        return verify_signal_bound(self.signal, _rk4_instants(grid, m, dt))
+
+
+class RegulationPlant(_ScalarPlant):
+    """Scalar plant x_dot = df(t) + u regulated to the surface s = x."""
+
+    kind = "regulation"
+
+    def __init__(self, signal):
+        self.signal = signal
 
     def rhs(self, x1, x2, w, u):
         return w + u, 0.0
 
-    def advance(self, x1, x2, w0, wm, w1, u, h):
-        # The rate does not depend on x, so stages 2 and 3 coincide.
-        a2 = wm + u
-        return x1 + h * (w0 + u + 2.0 * a2 + 2.0 * a2 + (w1 + u)) / 6.0, x2
-
     def sample(self, x1, x2, w):
         return x1, 0.0, 1.0, w
 
+    def run_rows(self, x1, x2, w, m, step, dt, log):
+        c = len(w) - 2 * m
+        w = w.tolist()
+        xs, us, gains, rates = log.x1, log.u, log.gain, log.gain_rate
+        for w0, wm, w1 in zip(w[:m], w[c:c + m], w[c + m:]):
+            xs.append(x1)
+            u, gain, rate = step(x1, 0.0, 1.0, dt)
+            us.append(u)
+            gains.append(gain)
+            rates.append(rate)
+            # The rate does not depend on x, so RK4 stages 2 and 3 coincide.
+            a2 = wm + u
+            x1 = x1 + dt * (w0 + u + 2.0 * a2 + 2.0 * a2 + (w1 + u)) / 6.0
+        for _ in w[m:c]:  # the run's last row: no RK4 step follows
+            xs.append(x1)
+            u, gain, rate = step(x1, 0.0, 1.0, dt)
+            us.append(u)
+            gains.append(gain)
+            rates.append(rate)
+        return x1, x2
 
-class LinearPlant(_Plant):
+
+class LinearPlant(_ScalarPlant):
     """Scalar plant x_dot = a*x + b*u + df(t) with surface s = x.
 
     Generic matched-uncertainty case with nonzero nominal drift h = a*x and
@@ -298,7 +359,6 @@ class LinearPlant(_Plant):
     """
 
     kind = "linear"
-    n_states = 1
 
     def __init__(self, a, b, signal):
         _check_finite("a", a)
@@ -309,28 +369,37 @@ class LinearPlant(_Plant):
         self.b = b
         self.signal = signal
 
-    @property
-    def true_bound(self):
-        return self.signal.bound
-
-    def inputs(self, t):
-        return verify_signal_bound(self.signal, t).tolist()
-
-    stage_inputs = inputs
-
     def rhs(self, x1, x2, w, u):
         return self.a * x1 + self.b * u + w, 0.0
 
-    def advance(self, x1, x2, w0, wm, w1, u, h):
-        a, bu, hh = self.a, self.b * u, 0.5 * h
-        a1 = a * x1 + bu + w0
-        a2 = a * (x1 + hh * a1) + bu + wm
-        a3 = a * (x1 + hh * a2) + bu + wm
-        a4 = a * (x1 + h * a3) + bu + w1
-        return x1 + h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0, x2
-
     def sample(self, x1, x2, w):
         return x1, self.a * x1, self.b, w
+
+    def run_rows(self, x1, x2, w, m, step, dt, log):
+        c = len(w) - 2 * m
+        w = w.tolist()
+        a, b, hh = self.a, self.b, 0.5 * dt
+        xs, us, gains, rates = log.x1, log.u, log.gain, log.gain_rate
+        for w0, wm, w1 in zip(w[:m], w[c:c + m], w[c + m:]):
+            xs.append(x1)
+            ax = a * x1
+            u, gain, rate = step(x1, ax, b, dt)
+            us.append(u)
+            gains.append(gain)
+            rates.append(rate)
+            bu = b * u
+            a1 = ax + bu + w0
+            a2 = a * (x1 + hh * a1) + bu + wm
+            a3 = a * (x1 + hh * a2) + bu + wm
+            a4 = a * (x1 + dt * a3) + bu + w1
+            x1 = x1 + dt * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
+        for _ in w[m:c]:  # the run's last row: no RK4 step follows
+            xs.append(x1)
+            u, gain, rate = step(x1, a * x1, b, dt)
+            us.append(u)
+            gains.append(gain)
+            rates.append(rate)
+        return x1, x2
 
 
 class TrackingPlant(_Plant):
@@ -344,9 +413,9 @@ class TrackingPlant(_Plant):
     Both uncertainties enter only the actuated x2 channel, so the matching
     condition holds structurally.
 
-    The input at an instant is the tuple (dx1, d, yd, yd_dot, yd_ddot); a
-    stage input is the pair (dx1, d), since only the sample needs the
-    reference.
+    The input at an instant is the tuple (dx1, d, yd, yd_dot, yd_ddot). A
+    block's inputs are dx1 and d at its samples, midpoints and ends, and the
+    reference at its samples only, since only the surface reads it.
     """
 
     kind = "tracking"
@@ -369,31 +438,15 @@ class TrackingPlant(_Plant):
         return list(zip((1.0 + mult).tolist(), add.tolist(),
                         yd.tolist(), yd_dot.tolist(), yd_ddot.tolist()))
 
-    def stage_inputs(self, t):
-        mult, add = verify_signal_bound(self.mult, t, self.add)
-        return list(zip((1.0 + mult).tolist(), add.tolist()))
+    def block_inputs(self, grid, m, dt):
+        """(dx1, d, yd, yd_dot, yd_ddot); dx1 and d at the samples, midpoints
+        and ends, in that order."""
+        mult, add = verify_signal_bound(self.mult, _rk4_instants(grid, m, dt), self.add)
+        return (1.0 + mult, add, *self.reference.values(grid))
 
     def rhs(self, x1, x2, w, u):
         dx1 = w[0]
         return x2, x1 * dx1 * x2 + math.sin(x1 * dx1) + w[1] + u
-
-    def advance(self, x1, x2, w0, wm, w1, u, h):
-        # x1_dot = x2, so each stage's x1 rate a_k is that stage's x2 (a1 = x2).
-        sin, hh = math.sin, 0.5 * h
-        dxm, dm = wm[0], wm[1]
-        p = x1 * w0[0]
-        b1 = p * x2 + sin(p) + w0[1] + u
-        y1, a2 = x1 + hh * x2, x2 + hh * b1
-        p = y1 * dxm
-        b2 = p * a2 + sin(p) + dm + u
-        y1, a3 = x1 + hh * a2, x2 + hh * b2
-        p = y1 * dxm
-        b3 = p * a3 + sin(p) + dm + u
-        y1, a4 = x1 + h * a3, x2 + h * b3
-        p = y1 * w1[0]
-        b4 = p * a4 + sin(p) + w1[1] + u
-        return (x1 + h * (x2 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0,
-                x2 + h * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0)
 
     def sample(self, x1, x2, w):
         dx1, d, yd, yd_dot, yd_ddot = w
@@ -403,3 +456,49 @@ class TrackingPlant(_Plant):
         nominal = x1 * x2 + math.sin(x1)
         h = nominal - yd_ddot + self.lam * e_rate
         return s, h, 1.0, (x1 * dx1 * x2 + math.sin(x1 * dx1)) - nominal + d
+
+    def run_rows(self, x1, x2, w, m, step, dt, log):
+        dx1, d, yd, yd_dot, yd_ddot = (v.tolist() for v in w)
+        c = len(yd)
+        lam, sin, hh = self.lam, math.sin, 0.5 * dt
+        x1s, x2s, ss, us, gains, rates, dfs = (getattr(log, name) for name in RowLog.__slots__)
+        for dx, dd, r, r_dot, r_ddot, dxm, dm, dxe, de in zip(
+                dx1[:m], d[:m], yd, yd_dot, yd_ddot, dx1[c:c + m], d[c:c + m],
+                dx1[c + m:], d[c + m:]):
+            x1s.append(x1)
+            x2s.append(x2)
+            e_rate = x2 - r_dot
+            s = e_rate + lam * (x1 - r)
+            nominal = x1 * x2 + sin(x1)
+            p = x1 * dx
+            q = p * x2 + sin(p)  # the true x2 rate without d and u, shared by delta_f and RK4
+            u, gain, rate = step(s, nominal - r_ddot + lam * e_rate, 1.0, dt)
+            ss.append(s)
+            us.append(u)
+            gains.append(gain)
+            rates.append(rate)
+            dfs.append(q - nominal + dd)
+            # x1_dot = x2, so each stage's x1 rate a_k is that stage's x2 (a1 = x2).
+            b1 = q + dd + u
+            y1, a2 = x1 + hh * x2, x2 + hh * b1
+            p = y1 * dxm
+            b2 = p * a2 + sin(p) + dm + u
+            y1, a3 = x1 + hh * a2, x2 + hh * b2
+            p = y1 * dxm
+            b3 = p * a3 + sin(p) + dm + u
+            y1, a4 = x1 + dt * a3, x2 + dt * b3
+            p = y1 * dxe
+            b4 = p * a4 + sin(p) + de + u
+            x1, x2 = (x1 + dt * (x2 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0,
+                      x2 + dt * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0)
+        for k in range(m, c):  # the run's last row: no RK4 step follows
+            x1s.append(x1)
+            x2s.append(x2)
+            s, h, g, delta_f = self.sample(x1, x2, (dx1[k], d[k], yd[k], yd_dot[k], yd_ddot[k]))
+            u, gain, rate = step(s, h, g, dt)
+            ss.append(s)
+            us.append(u)
+            gains.append(gain)
+            rates.append(rate)
+            dfs.append(delta_f)
+        return x1, x2

@@ -2,8 +2,12 @@
 
 The loop is zero-order hold: at every sample the surface is evaluated, the
 controller produces u (advancing its adaptive state once), u is held constant
-and the plant takes one RK4 step of length dt to the next sample.
-Everything is deterministic; identical scenarios produce bit-identical logs.
+and the plant takes one RK4 step of length dt to the next sample. Each
+plant runs that loop itself over a block of rows (``run_rows`` in
+smcsim.plants); the runner hands it the block's inputs, copies the rows it
+logged into the trajectory log and checks them for finiteness, once per
+block. Everything is deterministic; identical scenarios produce
+bit-identical logs.
 
 The log carries the two Lyapunov-style columns for delta-adaptive runs on
 plants with a declared uncertainty bound:
@@ -18,7 +22,6 @@ the s and gain columns.
 
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -29,7 +32,7 @@ from . import core
 from .core import CertificateBounds, ultimate_band
 from .csvformat import block_rows, format_rows
 from .errors import InsufficientDataError, ParameterError, SimulationDiverged, SmcError
-from .plants import BLOCK
+from .plants import BLOCK, RowLog
 
 CERTIFICATE_TOL = 0.05  # the bound checks allow (1 + this) times the certified level
 
@@ -108,23 +111,25 @@ def row_count(t_end: float, dt: float) -> int:
 def run_scenario(scenario: Scenario) -> TrajectoryLog:
     """Simulate the closed loop and return the sampled trajectory.
 
-    Rows are processed BLOCK at a time. For each block the plant's time
-    inputs are evaluated once, vectorized, at the instants the loop uses:
-    the samples i*dt, which start each RK4 step, and the step's midpoint
-    i*dt + 0.5*dt and end i*dt + dt (the last two through
-    ``plant.stage_inputs``). A value above its signal's declared bound
-    raises ParameterError naming the block's earliest offending instant.
-    Each row is one ``plant.sample`` call, one controller step and one
-    ``plant.advance`` call; all three return plain tuples.
+    Rows are processed BLOCK at a time. For each block
+    ``plant.block_inputs`` evaluates the plant's time inputs once,
+    vectorized, at the instants the loop uses: the samples i*dt, which start
+    each RK4 step, and the step's midpoint i*dt + 0.5*dt and end i*dt + dt.
+    A value above its signal's declared bound raises ParameterError naming
+    the block's earliest offending instant. ``plant.run_rows`` then steps the
+    block: one ``controller.step`` per row, the plant's surface and RK4
+    arithmetic inline around it, and no step after the run's last row.
 
-    Raises SimulationDiverged when the state, the surface or the control
-    leaves the finite range (the surface is checked before the controller
-    sees it), or when the plant's math raises ValueError on an overflowed
-    value; it carries the row and the last finite state. It is raised too at
-    the first row whose V or Vprime overflows, naming the column. These
-    checks, IntegrationSettings' check of dt and each plant's g, fixed and
-    nonzero when it is built, are the whole of the controller step's
-    contract: steps check nothing themselves.
+    After each block one numpy pass checks the state, the surface and the
+    control for finiteness. Raises SimulationDiverged at the first row whose
+    state, surface or control is non-finite, or whose sample or RK4 step
+    raises ValueError (math.sin of an overflowed value); it carries the row
+    and the last finite state, and u and gain when the controller ran on
+    that state. Rows of the block after that one were stepped too and are
+    discarded. It is raised too at the first row whose V or Vprime
+    overflows, naming the column. These checks, IntegrationSettings' check
+    of dt and each plant's g, fixed and nonzero when it is built, are the
+    whole of the controller step's contract: steps check nothing themselves.
     """
     plant = scenario.plant
     controller = scenario.controller
@@ -132,15 +137,8 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     st = scenario.settings
     dt = st.dt
     n = row_count(st.t_end, dt)
-
-    inputs, stage_inputs, advance, sample = (
-        plant.inputs, plant.stage_inputs, plant.advance, plant.sample)
-    step = controller.step
-    isfinite = math.isfinite
-
-    def diverged(row, x1, x2, u=None, gain=None, column="state"):
-        return SimulationDiverged(row * dt, row=row, state=(x1, x2)[:plant.n_states],
-                                  u=u, gain=gain, column=column)
+    step = controller.step  # looked up on the instance, where a tracer may wrap it
+    first_order = plant.n_states == 1  # s is x1 and delta_f the sample input
 
     # In place, so that no log-sized temporary is freed before the log is
     # allocated: glibc would then raise its mmap threshold and place the log
@@ -154,6 +152,14 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
         vp_arr = np.zeros(n)
     except (MemoryError, ValueError) as exc:  # beyond memory, or beyond numpy's size limit
         raise ParameterError(f"cannot allocate a log of {n} rows ({exc})") from None
+
+    def diverged(row, r, controlled, column="state"):
+        """The report for row ``row`` from the logged state of row r, with
+        that row's u and gain when the controller ran on it."""
+        u, gain = (u_arr[r].item(), gain_arr[r].item()) if controlled else (None, None)
+        return SimulationDiverged(row * dt, row=row, state=tuple(x_arr[r].tolist()),
+                                  u=u, gain=gain, column=column)
+
     mu = plant.true_bound
     lyap = None
     if isinstance(controller, DeltaAdaptiveSMC) and mu is not None:
@@ -162,42 +168,46 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     x2 = scenario.x0[1] if plant.n_states > 1 else 0.0
     for c0 in range(0, n, BLOCK):
         c1 = min(c0 + BLOCK, n)
-        grid = t_arr[c0:c1]
         m = min(c1, n - 1) - c0  # rows that integrate on to the next sample
-        t_mid, t_next = grid[:m] + 0.5 * dt, grid[:m] + dt
+        w = plant.block_inputs(t_arr[c0:c1], m, dt)
+        log = RowLog()
+        error = None
         try:
-            w_start = inputs(grid)
-            w_mid = stage_inputs(t_mid)
-            w_end = stage_inputs(t_next)
-        except ParameterError:
-            # A bound breach: name the block's earliest offending instant,
-            # over all three arrays. Only this path evaluates them again.
-            stage_inputs(np.concatenate((grid, t_mid, t_next)))
-            raise
-        rows = []  # (x1, x2, s, u, gain, gain_rate, delta_f)
-        try:
-            for k, i in enumerate(range(c0, c1)):
-                s, hdrift, g, delta_f = sample(x1, x2, w_start[k])
-                if not isfinite(s):
-                    raise diverged(i, x1, x2)
-                u, gain, rate = step(s, hdrift, g, dt)
-                rows.append((x1, x2, s, u, gain, rate, delta_f))
-                if not isfinite(u):
-                    raise diverged(i, x1, x2, u, gain)
-                if i + 1 < n:
-                    x1, x2 = advance(x1, x2, w_start[k], w_mid[k], w_end[k], u, dt)
-                    if not (isfinite(x1) and isfinite(x2)):
-                        raise diverged(i + 1, *rows[-1][:2], u, gain)
+            x1, x2 = plant.run_rows(x1, x2, w, m, step, dt, log)
         except ValueError as exc:
             # math.sin of an overflowed value; package errors pass unchanged.
             if isinstance(exc, SmcError):
                 raise
-            if len(rows) > i - c0:  # row i is logged, so advance raised
-                raise diverged(i + 1, *rows[-1][:2], u, gain) from exc
-            raise diverged(i, x1, x2) from exc
-        cols = np.fromiter(chain.from_iterable(rows), float, 7 * len(rows)).reshape(-1, 7).T
-        x_arr[c0:c1] = cols[: plant.n_states].T
-        s_arr[c0:c1], u_arr[c0:c1], gain_arr[c0:c1], rate_arr[c0:c1], df_arr[c0:c1] = cols[2:]
+            error = exc
+        # Rows c0..k1-1 stepped the controller; rows c0..r1-1 have a state,
+        # the one after the block's last step included.
+        k1 = c0 + len(log.u)
+        r1 = c0 + len(log.x1)
+        x_arr[c0:r1, 0] = log.x1
+        if first_order:
+            s_arr[c0:k1] = x_arr[c0:k1, 0]
+            df_arr[c0:k1] = w[:k1 - c0]
+        else:
+            x_arr[c0:r1, 1] = log.x2
+            s_arr[c0:k1] = log.s
+            df_arr[c0:k1] = log.delta_f
+        u_arr[c0:k1], gain_arr[c0:k1], rate_arr[c0:k1] = log.u, log.gain, log.gain_rate
+        if error is None and c1 < n:
+            x_arr[c1] = (x1, x2)[:plant.n_states]  # the next block writes it again
+            r1 += 1
+        # Row c0's state was checked with the previous block. Per row the
+        # order is: its state (from the step before), its surface, its control.
+        bad = ~np.isfinite(x_arr[c0:r1]).all(axis=1)
+        bad[:k1 - c0] |= ~(np.isfinite(s_arr[c0:k1]) & np.isfinite(u_arr[c0:k1]))
+        if bad.any():
+            i = c0 + int(np.argmax(bad))
+            if not np.isfinite(x_arr[i]).all():
+                raise diverged(i, i - 1, True)
+            raise diverged(i, i, math.isfinite(s_arr[i]))
+        if error is not None:
+            if r1 > k1:  # row k1 has a state: its sample raised
+                raise diverged(k1, k1, False) from error
+            raise diverged(k1, k1 - 1, True) from error  # row k1 - 1's RK4 step raised
         if lyap is not None:
             s_blk, gain_blk = s_arr[c0:c1], gain_arr[c0:c1]
             with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
@@ -207,11 +217,10 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
             ok = np.isfinite(v_arr[c0:c1]) & np.isfinite(vp_arr[c0:c1])
             if not ok.all():
                 i = c0 + int(np.argmin(ok))
-                x1, x2, _, u, gain = rows[i - c0][:5]
-                raise diverged(i, x1, x2, u, gain, "Vprime" if isfinite(v_arr[i]) else "V")
-        # Free this block's inputs before the next block builds its own, so
-        # that two blocks' worth never coexist at the memory peak.
-        del w_start, w_mid, w_end
+                raise diverged(i, i, True, "Vprime" if math.isfinite(v_arr[i]) else "V")
+        # Free this block's inputs and rows before the next block builds its
+        # own, so that two blocks' worth never coexist at the memory peak.
+        del w, log
 
     meta = {
         "scenario": scenario.name,

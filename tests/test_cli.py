@@ -120,7 +120,7 @@ class TestRun:
 
     def test_non_finite_surface_exits_3(self, tmp_path, capsys):
         # x0 is finite, but s = e_rate + lambda*e overflows to inf at the first
-        # sample; the runner must report the blow-up before sgn(s) sees it.
+        # sample; the runner must report the blow-up, not pass it on to sgn(s).
         cfg = load_config(preset_path("tracking"))
         cfg["x0"] = [1e308, 1e308]
         cfg["integration"]["t_end"] = 0.01

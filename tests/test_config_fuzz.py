@@ -95,6 +95,9 @@ EXAMPLES = [
     _with("table", "uncertainty", path="a\x00b"),
     _with("table", "integration", t_end=2000.0),
     _with("regulation-smooth", "integration", substeps=10**400, t_end=0.001),
+    # phi*phi underflows to 0, and the shape function divided by it at s = 0.
+    {**_with("regulation-smooth", "controller", phi=1e-200), "x0": [0.0],
+     "integration": {"dt": 1e-4, "substeps": 1, "t_end": 0.01}},
 ]
 
 

@@ -238,6 +238,12 @@ class TestOvershootBound:
     def test_bad_parameters(self):
         with pytest.raises(ParameterError):
             overshoot_bound(-1.0, 1.0, 0.01)
+
+    def test_phi_whose_square_underflows_is_refused(self):
+        # adaptation_shape divides by (|s| + phi)**2, 0 at s = 0 for such a phi.
+        with pytest.raises(ParameterError, match=r"phi = 1e-200 is too small"):
+            overshoot_bound(0.0, 1.0, 1e-200)
+        assert overshoot_bound(0.0, 1.0, 1.6e-162).feasible
         with pytest.raises(ParameterError):
             overshoot_bound(1.0, 0.0, 0.01)
 

@@ -3,8 +3,9 @@
 The reference integrates through the per-time methods (``controller.step``,
 ``plant.sample`` and ``plant.deriv``, each fed ``plant.inputs`` at one
 instant) with a tuple RK4, evaluating every signal at each instant as it goes; ``run_scenario``
-must reproduce every log column bit for bit. Each plant's inlined
-``advance`` must also equal a generic RK4 step over its ``rhs``. The signal tests compare each
+must reproduce every log column bit for bit. Each plant's ``run_rows``, which
+writes the surface and the RK4 stages inline, must also log what ``sample``
+gives and step as a generic RK4 step over its ``rhs``. The signal tests compare each
 vectorized ``values(t)`` with its closed form written with the math module,
 on the sample and RK4 instants the runner uses.
 """
@@ -26,6 +27,7 @@ from smcsim.plants import (
     LinearPlant,
     MultiSineSignal,
     RegulationPlant,
+    RowLog,
     SineReference,
     SquareSignal,
     TableSignal,
@@ -128,7 +130,7 @@ def test_runner_matches_reference_loop(plant, controller):
 
 
 def rk4_over_rhs(rhs, x1, x2, w0, wm, w1, u, h):
-    """The classical RK4 step whose operation order ``advance`` must keep."""
+    """The classical RK4 step whose operation order ``run_rows`` must keep."""
     hh = 0.5 * h
     a1, b1 = rhs(x1, x2, w0, u)
     a2, b2 = rhs(x1 + hh * a1, x2 + hh * b1, wm, u)
@@ -138,8 +140,20 @@ def rk4_over_rhs(rhs, x1, x2, w0, wm, w1, u, h):
             x2 + h * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0)
 
 
+def block_of(plant, w0, *stages):
+    """``block_inputs`` of a one-row block: the sample input w0, then the
+    inputs at the midpoint and the end of the row's RK4 step, if it takes one."""
+    if plant.n_states == 1:
+        return np.array([w0, *stages])
+    dx1, d = zip(w0[:2], *(w[:2] for w in stages))
+    return (np.array(dx1), np.array(d), *(np.array([v]) for v in w0[2:]))
+
+
 @pytest.mark.parametrize("plant", sorted(PLANTS))
 def test_advance_matches_rk4_over_rhs(plant):
+    # One row through run_rows, with a stub controller step holding u: the
+    # step sees what sample gives, the row logs it, and the state moves by
+    # one RK4 step over rhs; with no step to take, the state stays.
     p = PLANTS[plant]()
     rng = np.random.default_rng(23)
 
@@ -152,7 +166,21 @@ def test_advance_matches_rk4_over_rhs(plant):
         u, h = draw(), float(rng.choice([1e-4, 1e-3 / 3, 0.05]))
         w0, wm, w1 = (tuple(draw(5)) if plant == "tracking" else draw() for _ in range(3))
         expected = rk4_over_rhs(p.rhs, x1, x2, w0, wm, w1, u, h)
-        assert p.advance(x1, x2, w0, wm, w1, u, h) == expected
+        s, hdrift, g, delta_f = p.sample(x1, x2, w0)
+        for w, m, after in ((block_of(p, w0, wm, w1), 1, expected), (block_of(p, w0), 0, (x1, x2))):
+            seen, log = [], RowLog()
+
+            def step(*args):
+                seen.append(args)
+                return u, 0.5, -0.5
+
+            assert p.run_rows(x1, x2, w, m, step, h, log) == after
+            assert seen == [(s, hdrift, g, h)]
+            row = [log.x1, log.x2, log.s, log.u, log.gain, log.gain_rate, log.delta_f]
+            if p.n_states == 1:  # the runner takes s from x1 and delta_f from w
+                assert row == [[x1], [], [], [u], [0.5], [-0.5], []] and w[0] == delta_f
+            else:
+                assert row == [[x1], [x2], [s], [u], [0.5], [-0.5], [delta_f]]
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +247,16 @@ SIGNALS = {
 def test_signal_values_match_closed_form(kind, grid):
     sig, closed = SIGNALS[kind]
     ts = INSTANTS[grid]
+    expected = np.array([closed(sig, t) for t in ts.tolist()])
+    assert np.array_equal(sig.values(ts), expected)
+
+
+def test_square_parity_at_edges():
+    # Each edge k*half_period and the floats on either side of it, where the
+    # parity of the quotient flips, up to quotients beyond 2**53.
+    sig, closed = SIGNALS["square_sequence"]
+    edges = sig.half_period * np.concatenate((np.arange(20_000.0), 2.0 ** np.arange(50, 60)))
+    ts = np.concatenate((edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), [-0.0]))
     expected = np.array([closed(sig, t) for t in ts.tolist()])
     assert np.array_equal(sig.values(ts), expected)
 

@@ -1,6 +1,8 @@
 """The CSV of every preset, cut to 1 s, against sha256 digests recorded
 before the switching functions, the validation and the block size of the
-runner were last refactored.
+runner were last refactored; and the standard output of ``smcsim verify``
+on four presets at their full 30-s horizon, against digests recorded
+before the plants took over the row loop.
 
 Logs are a bit-for-bit contract: a change that is meant to keep them must
 leave these digests alone, and a change that moves one must say why. The
@@ -11,6 +13,7 @@ import hashlib
 
 import pytest
 
+from smcsim.cli import main
 from smcsim.config import build_scenario, list_presets, load_config, preset_path
 from smcsim.sim import run_scenario, write_csv
 
@@ -39,3 +42,17 @@ def test_preset_csv_digest(name, tmp_path):
     path = tmp_path / f"{name}.csv"
     write_csv(run_scenario(build_scenario(raw)), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[name]
+
+
+VERIFY_DIGESTS = {
+    "compare-smooth-adaptive": "aef77bfbd728fe8667f8a644b4affff5f3782e193caac6c3c0d24da37b3df94a",
+    "regulation-smooth": "6c4e9f3bdcdbf85d74fbd9c0b174c63faaf4f7805f268300173c782e07030e6c",
+    "regulation-square": "e0aca76182a2c4d867c40b60282ab1d00311ab37b005d0b9a2905314d2f68b08",
+    "tracking": "30acf503d044e6c4fa9970fd1e11f9252b4c132aa02b7578e5dfe5bcea54da29",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_DIGESTS))
+def test_verify_stdout_digest(name, capsys):
+    assert main(["verify", name]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_DIGESTS[name]

@@ -34,6 +34,12 @@ def sample(plant, x, t):
     return plant.sample(x[0], x[1] if len(x) > 1 else 0.0, plant.inputs([t])[0])
 
 
+def block_inputs(plant):
+    """plant.block_inputs over the instants t as the samples of a block
+    whose rows take no RK4 step."""
+    return lambda t: plant.block_inputs(np.asarray(t, dtype=float), 0, 1e-3)
+
+
 class TestSignals:
     def test_multi_sine_zero_phase_at_origin(self):
         assert MultiSineSignal([1.0, 2.0], [0.5, 1.3], [0.0, 0.0], 3.0).value(0.0) == 0.0
@@ -141,7 +147,7 @@ class TestSignals:
             [ok.values(instants).tolist()] * 2
         for mult, add in ((late, early), (early, late)):
             plant = TrackingPlant(mult, add, SineReference(1.0, 1.0), 2.0)
-            for inputs in (plant.inputs, plant.stage_inputs):
+            for inputs in (plant.inputs, block_inputs(plant)):
                 with pytest.raises(ParameterError, match=r"at t = 1\.0: value 1\.26"):
                     inputs(instants)
 
@@ -153,7 +159,7 @@ class TestSignals:
                   TrackingPlant(ok, hot, SineReference(1.0, 1.0), 2.0)]
         for plant in plants:
             assert plant.inputs([0.0, 1.0])  # within the bound
-            for inputs in (plant.inputs, plant.stage_inputs):
+            for inputs in (plant.inputs, block_inputs(plant)):
                 with pytest.raises(ParameterError, match="at t = 3.0"):
                     inputs([0.0, 3.0])
 

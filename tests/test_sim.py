@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from smcsim.controllers import ClassicalSMC, DeltaAdaptiveSMC
-from smcsim import sim
+from smcsim import plants, sim
 from smcsim.core import overshoot_bound, ultimate_band
 from smcsim.errors import (
     DomainError,
@@ -21,6 +21,7 @@ from smcsim.plants import (
     RegulationPlant,
     SineReference,
     TrackingPlant,
+    verify_signal_bound,
 )
 from smcsim.sim import (
     IntegrationSettings,
@@ -214,38 +215,53 @@ class TestRunScenario:
         assert (exc.row, exc.time, exc.state) == (row, row * 1e-4, x0)
         assert (exc.gain is not None) == controlled and (exc.u is not None) == controlled
 
+    def test_non_finite_surface_reports_the_state_alone(self):
+        # s = e_rate + lambda*e overflows on row 0 while the state and every
+        # sine argument stay finite: the report names the state, without
+        # the u and gain the controller computed from that s.
+        plant = TrackingPlant(MultiSineSignal([0.1], [1.0], [0.0], 0.1), zero_signal(),
+                              SineReference(1.0, 1.0), 4.0)
+        sc = Scenario("steep", plant, ClassicalSMC(1.0), (1e308, 1e308),
+                      IntegrationSettings(dt=1e-4, t_end=0.01))
+        with pytest.raises(SimulationDiverged) as err:
+            run_scenario(sc)
+        exc = err.value
+        assert (exc.row, exc.time, exc.state, exc.u, exc.gain) == (0, 0.0, (1e308, 1e308),
+                                                                   None, None)
+        assert exc.__cause__ is None
+        assert str(exc) == ("state became non-finite at t = 0 s (row 0; last finite state "
+                            "x = [1e+308, 1e+308])")
+
     @pytest.mark.parametrize("error", [DomainError, ParameterError])
     def test_package_value_errors_pass_through(self, error):
-        class Failing(RegulationPlant):
-            def sample(self, x1, x2, w):
-                raise error("from the plant")
+        class Failing(ClassicalSMC):
+            def step(self, s, h, g, dt):
+                raise error("from the controller")
 
-        sc = Scenario("failing", Failing(zero_signal()), ClassicalSMC(1.0), (1.0,),
+        sc = Scenario("failing", RegulationPlant(zero_signal()), Failing(1.0), (1.0,),
                       IntegrationSettings(dt=0.01, t_end=1.0))
-        with pytest.raises(error, match="from the plant"):
+        with pytest.raises(error, match="from the controller"):
             run_scenario(sc)
 
     def test_block_inputs_stay_bounded(self, monkeypatch):
         # A block holds BLOCK rows, so no vectorized call sees more than
-        # BLOCK instants; the log is the one a single block spanning every
-        # row gives.
+        # 3*BLOCK instants (samples, RK4 midpoints and ends); the log is the
+        # one a single block spanning every row gives.
         def run(block):
             monkeypatch.setattr(sim, "BLOCK", block)
-            sc = smooth_scenario(t_end=1.0, dt=1e-3)
             sizes = []
-            inputs = sc.plant.inputs
 
-            def counted(t):
+            def counted(signal, t, *others):
                 sizes.append(len(t))
-                return inputs(t)
+                return verify_signal_bound(signal, t, *others)
 
-            sc.plant.inputs = sc.plant.stage_inputs = counted
-            return run_scenario(sc), max(sizes)
+            monkeypatch.setattr(plants, "verify_signal_bound", counted)
+            return run_scenario(smooth_scenario(t_end=1.0, dt=1e-3)), max(sizes)
 
         log, widest = run(64)  # 16 blocks of the 1001 rows
-        assert widest == 64
+        assert widest == 3 * 64
         whole, widest = run(10**6)
-        assert widest == 1000 + 1  # the samples, the final one included
+        assert widest == 1001 + 2 * 1000  # no RK4 step follows the final sample
         for name in ("x", "s", "u", "gain", "gain_rate", "delta_f", "V", "Vprime"):
             assert np.array_equal(getattr(log, name), getattr(whole, name)), name
 
@@ -257,6 +273,92 @@ class TestRunScenario:
         with pytest.raises(ParameterError):
             Scenario("bad", RegulationPlant(zero_signal()), ClassicalSMC(1.0),
                      (1.0, 2.0), IntegrationSettings())
+
+
+class Kick(ClassicalSMC):
+    """ClassicalSMC(1.0) whose step returns u = value on one row."""
+
+    def __init__(self, row, value):
+        super().__init__(1.0)
+        self.row, self.value = row, value
+
+    def reset(self):
+        self.calls = 0
+
+    def step(self, s, h, g, dt):
+        u, gain, rate = super().step(s, h, g, dt)
+        self.calls += 1
+        return (self.value if self.calls == self.row + 1 else u), gain, rate
+
+
+EDGE_PLANTS = {
+    "regulation": lambda: (RegulationPlant(MultiSineSignal([0.5], [1.0], [0.3], 0.5)), (0.5,)),
+    # Within its bound up to t = 1.0946, in the second block: a breach after
+    # a divergence at the end of the first block.
+    "regulation-breach": lambda: (RegulationPlant(MultiSineSignal([0.6], [0.9], [0.0], 0.5)),
+                                  (0.5,)),
+    "linear": lambda: (LinearPlant(-1.0, 2.0, MultiSineSignal([0.5], [1.0], [0.3], 0.5)), (0.5,)),
+    "tracking": lambda: (TrackingPlant(MultiSineSignal([0.1], [0.7], [0.3], 0.1),
+                                       MultiSineSignal([0.5], [1.0], [0.3], 0.5),
+                                       SineReference(0.5, 1.2), 4.0), (0.3, -0.2)),
+}
+
+# (plant, kicked row, its u) -> the report (row, state, u, cause), or None
+# where the run ends, as the per-row runner gave them. At dt = 1e-3 the
+# 2049 rows are two blocks, rows 0-1023 and 1024-2047, and the run's last
+# row alone. u = 1.7e308 overflows the next RK4 step; on the tracking plant
+# u = 1e50 leaves a huge finite state whose own step takes math.sin of an
+# overflowed value.
+EDGE_CASES = {
+    "regulation-state-first-row": ("regulation", 1023, 1.7e308,
+                                   (1024, (3.414760153360092e-05,), 1.7e308, None)),
+    "regulation-state-last-row": ("regulation", 2046, 1.7e308,
+                                  (2047, (-0.0004009708100390999,), 1.7e308, None)),
+    "regulation-control-last-row": ("regulation", 2047, math.nan,
+                                    (2047, (0.0009559934179715138,), math.nan, None)),
+    "regulation-control-run-end": ("regulation", 2048, math.nan,
+                                   (2048, (0.000312607358262463,), math.nan, None)),
+    "regulation-no-step-at-run-end": ("regulation", 2048, 1.7e308, None),
+    "regulation-state-before-breach": ("regulation-breach", 1023, 1.7e308,
+                                       (1024, (0.00015794191400854776,), 1.7e308, None)),
+    "linear-state-first-row": ("linear", 1023, 1.7e308,
+                               (1024, (0.002316507581344663,), 1.7e308, None)),
+    "linear-control-last-row": ("linear", 2047, math.nan,
+                                (2047, (-0.001272400016458658,), math.nan, None)),
+    "linear-no-step-at-run-end": ("linear", 2048, 1.7e308, None),
+    "tracking-sin-first-row": ("tracking", 1022, 1e50,
+                               (1024, (2.261038375671781e+83, 1.226971540529732e+127), -1.0,
+                                ValueError)),
+    "tracking-sin-after-first-row": ("tracking", 1023, 1e50,
+                                     (1025, (2.2611158395679188e+83, 1.2270555905793869e+127),
+                                      -1.0, ValueError)),
+    "tracking-sin-run-end": ("tracking", 2046, 1e50,
+                             (2048, (2.290808671151134e+83, 1.2594665797696856e+127), -1.0,
+                              ValueError)),
+    "tracking-no-step-at-run-end": ("tracking", 2047, 1e50, None),
+    "tracking-control-run-end": ("tracking", 2048, math.nan,
+                                 (2048, (1.483138521840313, 1.819878673894901), math.nan, None)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_divergence_at_block_edges(case):
+    plant_name, row, value, expected = EDGE_CASES[case]
+    plant, x0 = EDGE_PLANTS[plant_name]()
+    sc = Scenario("edge", plant, Kick(row, value), x0, IntegrationSettings(dt=1e-3, t_end=2.048))
+    if expected is None:
+        log = run_scenario(sc)
+        assert len(log) == 2049 and log.u[row] == value and np.all(np.isfinite(log.x))
+        return
+    with pytest.raises(SimulationDiverged) as err:
+        run_scenario(sc)
+    exc = err.value
+    at, state, u, cause = expected
+    assert (exc.row, exc.time, exc.state, repr(exc.u), exc.gain) == (at, at * 1e-3, state,
+                                                                     repr(u), 1.0)
+    assert type(exc.__cause__) is (cause or type(None))
+    assert str(exc) == (f"state became non-finite at t = {at * 1e-3:.6g} s (row {at}; "
+                        f"last finite state x = {list(state)!r}, u = {u!r}, gain = 1.0)")
 
 
 def synthetic_log(u, s=None, dt=1e-3):
