@@ -51,10 +51,30 @@ def _metrics_lines(name, metrics):
                                        for key, value in metrics.as_dict().items()]
 
 
-def _write_outputs(out_dir, name, log, metrics, extra=None):
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"{name}.csv")
-    write_csv(log, csv_path)
+def _output_dir(path, create):
+    """Refuse an --out that is a file or lies under one (ConfigError, exit
+    2); with create, make the directory. The commands call this before
+    their first run, so that a bad --out is refused before any integration;
+    run creates its directory only after its scenario ran, so that a failed
+    run leaves none."""
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise ConfigError(f"--out {path}: {head} is not a directory")
+    if create:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {path}: cannot create the directory ({exc})") from None
+
+
+def _csv_path(out_dir, name):
+    return os.path.join(out_dir, f"{name}.csv")
+
+
+def _write_metrics(out_dir, name, log, metrics, extra=None):
+    """<name>.metrics.json and <name>.metrics.txt in out_dir."""
     payload = {"meta": log.meta, "metrics": metrics.as_dict()}
     if extra:
         payload.update(extra)
@@ -65,7 +85,6 @@ def _write_outputs(out_dir, name, log, metrics, extra=None):
     txt_path = os.path.join(out_dir, f"{name}.metrics.txt")
     with open(txt_path, "w") as fh:
         fh.write("\n".join(_metrics_lines(name, metrics)) + "\n")
-    return csv_path
 
 
 def _overrides(args):
@@ -105,6 +124,7 @@ def _certify(scenario, log):
 
 def cmd_run(args):
     scenario = _load(args.scenario, _overrides(args))
+    _output_dir(args.out, create=False)
     log = run_scenario(scenario)
     ctl = scenario.controller
     metrics = compute_metrics(log, getattr(ctl, "phi", None))
@@ -117,7 +137,10 @@ def cmd_run(args):
             metrics.ultimate_bound_satisfied = r2.holds if r2.applicable else None
             extra["ultimate_bound"] = {"applicable": r2.applicable, "holds": r2.holds,
                                        "T": r2.T, "b": r2.b, "sigma": bounds.sigma}
-    csv_path = _write_outputs(args.out, scenario.name, log, metrics, extra)
+    _output_dir(args.out, create=True)
+    csv_path = _csv_path(args.out, scenario.name)
+    write_csv(log, csv_path)
+    _write_metrics(args.out, scenario.name, log, metrics, extra)
     print(f"wrote {csv_path}")
     for line in _metrics_lines(scenario.name, metrics):
         print(line)
@@ -270,14 +293,16 @@ def cmd_compare(args):
     # The first delta-adaptive phi, else the first phi.
     ctls = sorted((sc.controller for sc in scenarios), key=lambda c: c.kind != "delta_adaptive")
     phi = next((c.phi for c in ctls if hasattr(c, "phi")), None)
+    _output_dir(args.out, create=True)
 
     def run_one(sc):
         # run_scenario is read from cli's globals at each call, so a wrapper
-        # set on cli.run_scenario sees the calls of this process. The log is
-        # freed on return, before this process runs its next scenario.
-        log = run_scenario(sc)
+        # set on cli.run_scenario sees the calls of this process. It writes
+        # the CSV while it integrates and returns a log of the columns the
+        # metrics read, freed before this process runs its next scenario.
+        log = run_scenario(sc, csv_path=_csv_path(args.out, sc.name))
         metrics = compute_metrics(log, phi)
-        _write_outputs(args.out, sc.name, log, metrics)
+        _write_metrics(args.out, sc.name, log, metrics)
         return sc.name, metrics
 
     rows = _forked_map(run_one, scenarios)

@@ -106,6 +106,27 @@ def _schedule(d, key, path):
 
 _str = functools.partial(_get, types=str)
 
+# The longest file name a command writes is "<name>.metrics.json", and file
+# systems commonly allow 255 bytes in one.
+NAME_MAX_BYTES = 255 - len(".metrics.json")
+
+
+def _name(d, key, path):
+    """The scenario name, which run and compare use as the stem of the files
+    they write in --out: nonempty, not starting with ".", with no "/", "\\"
+    or NUL, and at most NAME_MAX_BYTES bytes in the file system's encoding."""
+    v = _str(d, key, path)
+    if not v or v.startswith(".") or any(c in v for c in "/\\\0"):
+        _fail(key, "must be a file name stem: nonempty, not starting with '.', and without "
+                   f"'/', '\\' or NUL, got {v!r}")
+    try:
+        size = len(os.fsencode(v))
+    except UnicodeError:
+        _fail(key, f"cannot be encoded as a file name, got {v!r}")
+    if size > NAME_MAX_BYTES:
+        _fail(key, f"must take at most {NAME_MAX_BYTES} bytes as a file name, got {size}")
+    return v
+
 
 def _known_keys(d, allowed, path):
     for k in d:
@@ -237,7 +258,7 @@ def normalize_config(raw):
         raise ConfigError("scenario: top level must be an object")
     _known_keys(raw, {"name", "note", "plant", "uncertainty", "controller",
                       "x0", "integration"}, "")
-    out = _noted(raw, "", {"name": _str(raw, "name", "")})
+    out = _noted(raw, "", {"name": _name(raw, "name", "")})
     out["plant"] = _kind(_PLANTS, "plant", raw, "plant")
     if out["plant"]["kind"] == "tracking":
         out["uncertainty"] = _tracking_uncertainty(raw)

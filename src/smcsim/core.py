@@ -29,12 +29,19 @@ from .errors import ParameterError
 BAND_RATIO = math.sqrt(2.0) - 1.0
 
 
+def _is_finite_number(value):
+    """True for an int or float with a finite float value, and not a bool (an
+    int subclass). Compares without converting, so an int beyond the float
+    range is refused rather than raising OverflowError."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
+
+
 def _require_positive(name, value, zero_ok=False):
-    """Accept a positive (with zero_ok, non-negative) int or float that has a
-    finite float value, and not a bool (an int subclass)."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    above = number and (value >= 0.0 if zero_ok else value > 0.0)
-    if not (above and value <= sys.float_info.max):
+    """Accept a positive (with zero_ok, non-negative) number that
+    _is_finite_number accepts."""
+    above = _is_finite_number(value) and (value >= 0.0 if zero_ok else value > 0.0)
+    if not above:
         what = "non-negative" if zero_ok else "positive"
         raise ParameterError(f"{name} must be a {what} finite number, got {value!r}")
 

@@ -69,7 +69,7 @@ import math
 
 import numpy as np
 
-from .core import _require_positive
+from .core import _is_finite_number, _require_positive
 from .errors import DomainError, ParameterError
 
 # Instants evaluated per vectorized call by the runner: large enough to
@@ -81,7 +81,7 @@ BLOCK = 1024
 def _check_finite(name, values):
     vals = values if isinstance(values, (list, tuple)) else [values]
     for v in vals:
-        if not isinstance(v, (int, float)) or not math.isfinite(v):
+        if not _is_finite_number(v):
             raise ParameterError(f"{name} must be finite numbers, got {values!r}")
 
 

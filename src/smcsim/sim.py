@@ -6,8 +6,10 @@ and the plant takes one RK4 step of length dt to the next sample. Each
 plant runs that loop itself over a block of rows (``run_rows`` in
 smcsim.plants); the runner hands it the block's inputs, copies the rows it
 logged into the trajectory log and checks them for finiteness, once per
-block. Everything is deterministic; identical scenarios produce
-bit-identical logs.
+block. Given a CSV path, the runner also writes the log's CSV as it goes,
+one span of CHUNK rows at a time, and keeps only the columns the metrics
+read at full length. Everything is deterministic; identical scenarios
+produce bit-identical logs and CSVs.
 
 The log carries the two Lyapunov-style columns for delta-adaptive runs on
 plants with a declared uncertainty bound:
@@ -21,6 +23,7 @@ the s and gain columns.
 """
 
 import math
+import os
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -35,6 +38,9 @@ from .errors import InsufficientDataError, ParameterError, SimulationDiverged, S
 from .plants import BLOCK, RowLog
 
 CERTIFICATE_TOL = 0.05  # the bound checks allow (1 + this) times the certified level
+# Rows per slice of the passes over a finished log, and per span of a CSV
+# that the runner writes while it integrates: 8 blocks.
+CHUNK = 8 * BLOCK
 
 
 @dataclass(frozen=True)
@@ -108,7 +114,7 @@ def row_count(t_end: float, dt: float) -> int:
     return int(math.floor(q * (1.0 + 1e-12))) + 1
 
 
-def run_scenario(scenario: Scenario) -> TrajectoryLog:
+def run_scenario(scenario: Scenario, csv_path=None) -> TrajectoryLog:
     """Simulate the closed loop and return the sampled trajectory.
 
     Rows are processed BLOCK at a time. For each block
@@ -130,7 +136,28 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     overflows, naming the column. These checks, IntegrationSettings' check
     of dt and each plant's g, fixed and nonzero when it is built, are the
     whole of the controller step's contract: steps check nothing themselves.
+
+    With csv_path, the bytes that write_csv would write of the log are
+    written there during the run, a span of CHUNK rows at a time once every
+    block in it has passed the checks. The log's gain_rate, delta_f, V and
+    Vprime are then held one span at a time and are None on the returned
+    log; t, x, s, u and gain, which compute_metrics reads, are whole. A run
+    that raises leaves no file at csv_path. For a first-order plant s is a
+    view of the state column of x, with or without a path.
     """
+    if csv_path is None:
+        return _integrate(scenario, None)
+    with open(csv_path, "wb") as fh:
+        try:
+            return _integrate(scenario, fh)
+        except BaseException:
+            fh.close()
+            os.remove(csv_path)
+            raise
+
+
+def _integrate(scenario, fh):
+    """run_scenario's loop; with fh, an open binary file, the CSV goes there."""
     plant = scenario.plant
     controller = scenario.controller
     controller.reset()
@@ -139,6 +166,10 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     n = row_count(st.t_end, dt)
     step = controller.step  # looked up on the instance, where a tracer may wrap it
     first_order = plant.n_states == 1  # s is x1 and delta_f the sample input
+    # Rows held by the columns that only the CSV reads (gain_rate, delta_f,
+    # V, Vprime): all of them, or with a CSV one span; spans start at the
+    # multiples of `span`.
+    span = n if fh is None else min(n, CHUNK)
 
     # In place, so that no log-sized temporary is freed before the log is
     # allocated: glibc would then raise its mmap threshold and place the log
@@ -147,9 +178,10 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
         t_arr = np.arange(n, dtype=float)
         t_arr *= dt
         x_arr = np.empty((n, plant.n_states))
-        s_arr, u_arr, gain_arr, rate_arr, df_arr = (np.empty(n) for _ in range(5))
-        v_arr = np.zeros(n)
-        vp_arr = np.zeros(n)
+        s_arr = x_arr[:, 0] if first_order else np.empty(n)
+        u_arr, gain_arr = np.empty(n), np.empty(n)
+        rate_arr, df_arr = np.empty(span), np.empty(span)
+        v_arr, vp_arr = np.zeros(span), np.zeros(span)
     except (MemoryError, ValueError) as exc:  # beyond memory, or beyond numpy's size limit
         raise ParameterError(f"cannot allocate a log of {n} rows ({exc})") from None
 
@@ -169,6 +201,7 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     for c0 in range(0, n, BLOCK):
         c1 = min(c0 + BLOCK, n)
         m = min(c1, n - 1) - c0  # rows that integrate on to the next sample
+        o = c0 - c0 % span  # the span's first row: row r sits at r - o in its columns
         w = plant.block_inputs(t_arr[c0:c1], m, dt)
         log = RowLog()
         error = None
@@ -185,13 +218,12 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
         r1 = c0 + len(log.x1)
         x_arr[c0:r1, 0] = log.x1
         if first_order:
-            s_arr[c0:k1] = x_arr[c0:k1, 0]
-            df_arr[c0:k1] = w[:k1 - c0]
+            df_arr[c0 - o:k1 - o] = w[:k1 - c0]
         else:
             x_arr[c0:r1, 1] = log.x2
             s_arr[c0:k1] = log.s
-            df_arr[c0:k1] = log.delta_f
-        u_arr[c0:k1], gain_arr[c0:k1], rate_arr[c0:k1] = log.u, log.gain, log.gain_rate
+            df_arr[c0 - o:k1 - o] = log.delta_f
+        u_arr[c0:k1], gain_arr[c0:k1], rate_arr[c0 - o:k1 - o] = log.u, log.gain, log.gain_rate
         if error is None and c1 < n:
             x_arr[c1] = (x1, x2)[:plant.n_states]  # the next block writes it again
             r1 += 1
@@ -210,17 +242,23 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
             raise diverged(k1, k1 - 1, True) from error  # row k1 - 1's RK4 step raised
         if lyap is not None:
             s_blk, gain_blk = s_arr[c0:c1], gain_arr[c0:c1]
+            v_blk, vp_blk = v_arr[c0 - o:c1 - o], vp_arr[c0 - o:c1 - o]
             with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-                v_arr[c0:c1] = lyapunov_value(s_blk, gain_blk, mu, lyap.rho, lyap.phi)
+                v_blk[:] = lyapunov_value(s_blk, gain_blk, mu, lyap.rho, lyap.phi)
                 if lyap.k > 0.0:
-                    vp_arr[c0:c1] = lyapunov_vprime(s_blk, gain_blk, lyap.k)
-            ok = np.isfinite(v_arr[c0:c1]) & np.isfinite(vp_arr[c0:c1])
+                    vp_blk[:] = lyapunov_vprime(s_blk, gain_blk, lyap.k)
+            ok = np.isfinite(v_blk) & np.isfinite(vp_blk)
             if not ok.all():
-                i = c0 + int(np.argmin(ok))
-                raise diverged(i, i, True, "Vprime" if math.isfinite(v_arr[i]) else "V")
+                i = int(np.argmin(ok))
+                raise diverged(c0 + i, c0 + i, True, "Vprime" if math.isfinite(v_blk[i]) else "V")
         # Free this block's inputs and rows before the next block builds its
         # own, so that two blocks' worth never coexist at the memory peak.
         del w, log
+        if fh is not None and (c1 - o == span or c1 == n):
+            k = c1 - o
+            _write_rows(fh, TrajectoryLog(t_arr[o:c1], x_arr[o:c1], s_arr[o:c1], u_arr[o:c1],
+                                          gain_arr[o:c1], rate_arr[:k], df_arr[:k], v_arr[:k],
+                                          vp_arr[:k]), header=o == 0)
 
     meta = {
         "scenario": scenario.name,
@@ -232,29 +270,40 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
         "integrator": "rk4 plant substeps, euler adaptive states, zero-order-hold control",
         "package_version": __version__,
     }
+    if fh is not None:  # the span columns: written, and holding only the last span
+        rate_arr = df_arr = v_arr = vp_arr = None
     return TrajectoryLog(t_arr, x_arr, s_arr, u_arr, gain_arr, rate_arr, df_arr, v_arr, vp_arr,
                          meta)
 
 
-def write_csv(log: TrajectoryLog, path):
-    """Serialize the log; floats are printed as ``"%.17g"``, the same bytes
-    as np.savetxt."""
-    with open(path, "wb") as fh:
+def _write_rows(fh, log, header):
+    """The CSV format: to the binary file fh, with header the row of column
+    names first, then every row of log, its floats printed as ``"%.17g"``,
+    the same bytes as np.savetxt. write_csv writes a whole log in one call,
+    run_scenario a span of rows per call."""
+    if header:
         fh.write((",".join(log.columns()) + "\n").encode())
-        # Sized so that format_rows' temporaries come from the heap whatever
-        # earlier frees did to glibc's threshold; fixed 1024-row blocks were
-        # mapped and faulted in afresh on every block unless a larger free
-        # had raised it, about 0.3 s more per 300 001-row log.
-        step = block_rows(len(log.columns()))
-        # glibc also gives the top of its heap back to the system when more
-        # than 128 KiB lie free there, so a block's temporaries, once freed,
-        # could be faulted in afresh on every block: 150 000-195 000 faults
-        # and ~0.4 s more per 300 001-row log in a forked compare process.
+        # glibc gives the top of its heap back to the system when more than
+        # 128 KiB lie free there, so a block's temporaries, once freed, could
+        # be faulted in afresh on every block: 150 000-195 000 faults and
+        # ~0.4 s more per 300 001-row log in a forked compare process.
         # Freeing one mapped 1-MiB array raises that limit to 2 MiB first;
         # a 2.4-MB log column is still mapped.
         np.empty(1 << 17)
-        for r0 in range(0, len(log), step):
-            fh.write(format_rows(log.as_matrix(slice(r0, r0 + step))))
+    # Sized so that format_rows' temporaries come from the heap whatever
+    # earlier frees did to glibc's threshold; fixed 1024-row blocks were
+    # mapped and faulted in afresh on every block unless a larger free had
+    # raised it, about 0.3 s more per 300 001-row log.
+    step = block_rows(len(log.columns()))
+    for r0 in range(0, len(log), step):
+        fh.write(format_rows(log.as_matrix(slice(r0, r0 + step))))
+
+
+def write_csv(log: TrajectoryLog, path):
+    """Serialize a log that has every column (run_scenario without a CSV
+    path) as run_scenario with one writes it."""
+    with open(path, "wb") as fh:
+        _write_rows(fh, log, header=True)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +314,6 @@ def write_csv(log: TrajectoryLog, path):
 # a command holds the log and O(CHUNK) scratch. At 8192 rows each float64
 # temporary takes 64 KiB, under glibc's 128 KiB mmap threshold, so it is
 # reused from the heap rather than mapped and faulted in afresh.
-
-CHUNK = 8 * BLOCK
 
 
 def _chunks(start, stop):

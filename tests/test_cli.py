@@ -64,6 +64,26 @@ class TestRun:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2
 
+    def test_unsafe_name_exits_2(self, tmp_path, capsys):
+        # The name is a file stem: "../escaped" would write beside --out.
+        cfg = load_config(preset_path("regulation-smooth"))
+        cfg["name"] = "../escaped"
+        path = write_scenario(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: name: must be a file name stem")
+        assert os.listdir(tmp_path) == ["scenario.json"]
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_not_a_directory_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                       out):
+        (tmp_path / "afile").write_text("kept")
+        monkeypatch.setattr(cli, "run_scenario", lambda sc: pytest.fail("the scenario ran"))
+        out = tmp_path / out
+        assert main(["run", "regulation-smooth", "--t-end", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --out {out}: {tmp_path / 'afile'} is not a directory\n"
+        assert (tmp_path / "afile").read_text() == "kept"
+
     @pytest.mark.parametrize("content", [b'{"name": "\xff"}', b'{"name": ' + b"1" * 5000 + b"}"],
                              ids=["not-utf8", "5000-digit-int"])
     def test_undecodable_scenario_file_exits_2(self, tmp_path, capsys, content):
@@ -218,7 +238,8 @@ class TestCompare:
     def test_repeated_name_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, w):
         # Two scenarios named alike would write the same files.
         monkeypatch.setattr(cli, "_usable_cpus", lambda: w)
-        monkeypatch.setattr(cli, "run_scenario", lambda sc: pytest.fail("a scenario ran"))
+        monkeypatch.setattr(cli, "run_scenario",
+                            lambda sc, csv_path=None: pytest.fail("a scenario ran"))
         files = [short_smooth(tmp_path, name=f"{label}.json") for label in ("a", "b")]
         for path in files:
             cfg = load_config(path)
@@ -228,6 +249,69 @@ class TestCompare:
         assert main(["compare", *files, "--out", str(out)]) == 2
         assert "'same' is used 2 times" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_unsafe_name_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch, w):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: w)
+        monkeypatch.setattr(cli, "run_scenario",
+                            lambda sc, csv_path=None: pytest.fail("a scenario ran"))
+        files = [short_smooth(tmp_path, name=f"{label}.json") for label in ("a", "b")]
+        cfg = load_config(files[1])
+        cfg["name"] = "b/c"
+        write_scenario(tmp_path, cfg, "b.json")
+        out = tmp_path / "out"
+        assert main(["compare", *files, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: name: must be a file name stem")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_out_not_a_directory_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch, w):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: w)
+        monkeypatch.setattr(cli, "run_scenario",
+                            lambda sc, csv_path=None: pytest.fail("a scenario ran"))
+        (tmp_path / "afile").write_text("kept")
+        files = [short_smooth(tmp_path, name=f"{label}.json") for label in ("a", "b")]
+        out = tmp_path / "afile" / "sub"
+        assert main(["compare", *files, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --out {out}: {tmp_path / 'afile'} is not a directory\n"
+        assert (tmp_path / "afile").read_text() == "kept"
+
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_breach_after_the_first_span_leaves_no_csv(self, tmp_path, capsys, monkeypatch,
+                                                       w):
+        # The shared disturbance breaks its bound at t = 1.46, after the
+        # first 8192-row span of each CSV was written; t_end = 5 lies within
+        # it, so the scenarios load.
+        files = []
+        for preset in TRIO[:2]:
+            cfg = load_config(preset_path(preset))
+            cfg["integration"]["t_end"] = 5.0
+            cfg["uncertainty"] = {"kind": "smooth_multi_sine", "amplitudes": [1.5],
+                                  "frequencies": [0.5], "phases": [0.0], "bound": 1.0}
+            files.append(write_scenario(tmp_path, cfg, preset + ".json"))
+        out = tmp_path / "out"
+        rc, _, err, _ = compare_on(monkeypatch, capsys, w, files, out)
+        assert (rc, err) == (2, "error: smooth_multi_sine exceeds its declared bound 1.0 at "
+                                "t = 1.4595: value 1.0000249808480643\n")
+        assert os.listdir(out) == []
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_divergence_leaves_no_csv_of_its_own(self, tmp_path, capsys, monkeypatch, w):
+        files = compare_files(tmp_path, t_end=1.0)[:1]
+        cfg = load_config(preset_path(TRIO[1]))
+        cfg["integration"]["t_end"] = 1.0
+        cfg["name"] = "boom"
+        cfg["controller"].update(K_bar=1e300, K0=1e300)
+        files.append(write_scenario(tmp_path, cfg, "boom.json"))
+        out = tmp_path / "out"
+        rc, _, err, _ = compare_on(monkeypatch, capsys, w, files, out)
+        assert rc == 3 and err.startswith("numerical blow-up: "), err
+        assert sorted(os.listdir(out)) == [f"{TRIO[0]}.{ext}" for ext in
+                                           ("csv", "metrics.json", "metrics.txt")]
+        assert_no_child_left()
 
 
 class TestVerify:
@@ -581,9 +665,9 @@ class TestForkedCompare:
         ran = tmp_path / "ran"
         ran.mkdir()
 
-        def recording(sc):
+        def recording(sc, csv_path=None):
             (ran / f"{sc.name}.{os.getpid()}").touch()
-            return run(sc)
+            return run(sc, csv_path)
 
         self.slow_fork(monkeypatch)
         monkeypatch.setattr(cli, "run_scenario", recording)
@@ -602,7 +686,7 @@ class TestForkedCompare:
         fired = tmp_path / "fired"
         fired.mkdir()
 
-        def first(sc):
+        def first(sc, csv_path=None):
             (fired / str(os.getpid())).touch()
             cli.run_scenario = run
             raise FirstCall
@@ -622,10 +706,10 @@ class TestForkedCompare:
         done = tmp_path / "done"
         done.mkdir()
 
-        def recording(sc):
+        def recording(sc, csv_path=None):
             if os.getpid() == parent:
                 wait_for(lambda: len(list(done.iterdir())) == 3)
-            log = run(sc)
+            log = run(sc, csv_path)
             (done / f"{sc.name}.{os.getpid()}").touch()
             return log
 
@@ -648,12 +732,12 @@ class TestForkedCompare:
         parent, run = os.getpid(), cli.run_scenario
         died = tmp_path / "died"
 
-        def dying(sc):
+        def dying(sc, csv_path=None):
             if os.getpid() != parent:
                 died.touch()
                 os._exit(7)
             wait_for(died.exists)
-            return run(sc)
+            return run(sc, csv_path)
 
         monkeypatch.setattr(cli, "run_scenario", dying)
         files = compare_files(tmp_path, t_end=1.0)[:3]
@@ -672,11 +756,11 @@ class TestForkedCompare:
         started = tmp_path / "started"
         started.mkdir()
 
-        def failing(sc):
+        def failing(sc, csv_path=None):
             (started / sc.name).touch()
             if sc.name == "fails":
                 raise ParameterError("g vanished")
-            return run(sc)
+            return run(sc, csv_path)
 
         monkeypatch.setattr(cli, "run_scenario", failing)
         cfg = load_config(preset_path(TRIO[0]))
@@ -699,12 +783,12 @@ class TestForkedCompare:
         # first failure in input order decides, whichever ends first.
         run = cli.run_scenario
 
-        def failing(sc):
+        def failing(sc, csv_path=None):
             if sc.name == "diverges":
                 raise SimulationDiverged(0.125, row=3, state=(1.0,), u=2.0, gain=3.0)
             if sc.name == "fails":
                 raise ParameterError("g vanished")
-            return run(sc)
+            return run(sc, csv_path)
 
         monkeypatch.setattr(cli, "run_scenario", failing)
         cfg = load_config(preset_path(TRIO[0]))

@@ -159,6 +159,22 @@ class TestValidation:
         with pytest.raises(ConfigError, match="name"):
             build_scenario(cfg)
 
+    @pytest.mark.parametrize("name", ["a/b", "a\0b", "x" * 300, "", "../escaped", ".hidden",
+                                      "a\\b", "\ud800"],
+                             ids=["slash", "nul", "300-chars", "empty", "parent", "hidden",
+                                  "backslash", "lone-surrogate"])
+    def test_unsafe_name_rejected(self, name):
+        # The name is the stem of the files run and compare write in --out.
+        with pytest.raises(ConfigError, match="^name: "):
+            normalize_config(smooth_config(name=name))
+
+    def test_name_length_limit(self):
+        # "<name>.metrics.json" must fit in 255 bytes; "é" takes two of them.
+        assert normalize_config(smooth_config(name="x" * 242))["name"] == "x" * 242
+        for name in ("x" * 243, "é" * 122):
+            with pytest.raises(ConfigError, match="at most 242 bytes"):
+                normalize_config(smooth_config(name=name))
+
     def test_x0_dimension_mismatch(self):
         with pytest.raises(ConfigError, match="x0"):
             build_scenario(smooth_config(x0=[1.0, 0.0]))

@@ -1,6 +1,7 @@
-"""The CSV of every preset, cut to 1 s, against sha256 digests recorded
-before the switching functions, the validation and the block size of the
-runner were last refactored; and the standard output of ``smcsim verify``
+"""The CSV of every preset, cut to 1 s, as write_csv writes it and as the
+runner streams it, against sha256 digests recorded before the switching
+functions, the validation and the block size of the runner were last
+refactored; and the standard output of ``smcsim verify``
 on four presets at their full 30-s horizon, against digests recorded
 before the plants took over the row loop.
 
@@ -37,11 +38,14 @@ def test_every_preset_has_a_digest():
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_preset_csv_digest(name, tmp_path):
+    # 10 001 rows: the streamed CSV is written in two spans.
     raw = load_config(preset_path(name))
     raw["integration"]["t_end"] = 1.0
-    path = tmp_path / f"{name}.csv"
-    write_csv(run_scenario(build_scenario(raw)), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[name]
+    written, streamed = tmp_path / "written.csv", tmp_path / "streamed.csv"
+    write_csv(run_scenario(build_scenario(raw)), written)
+    run_scenario(build_scenario(raw), csv_path=streamed)
+    for path in (written, streamed):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[name], path.name
 
 
 VERIFY_DIGESTS = {

@@ -169,6 +169,22 @@ class TestSignals:
         with pytest.raises(ParameterError):
             MultiSineSignal([1.0], [1.0], [0.0], -1.0)
 
+    @pytest.mark.parametrize("build", [
+        lambda: MultiSineSignal([10**400], [1.0], [0.0], 1.0),
+        lambda: LinearPlant(10**400, 1.0, zero_signal()),
+        lambda: SineReference(1.0, 10**400),
+        lambda: SquareSignal(1.0, [(0.0, 10**400)], 1.0),
+        lambda: TableSignal([0.0, 10**400], [0.0, 0.0], 1.0),
+        lambda: LinearPlant(0.0, True, zero_signal()),
+        lambda: TableSignal([0.0, True], [0.0, 0.0], 1.0),
+    ], ids=["sine-amplitude-1e400", "linear-a-1e400", "reference-omega-1e400",
+            "square-amplitude-1e400", "table-time-1e400", "linear-b-bool", "table-time-bool"])
+    def test_ints_beyond_floats_and_bools_rejected(self, build):
+        # The same number test as core._require_positive: no OverflowError
+        # escapes, and a bool is not a number.
+        with pytest.raises(ParameterError, match="must be finite numbers"):
+            build()
+
     def test_deterministic(self):
         sig = smooth_signal()
         ts = np.linspace(0.0, 30.0, 1000)

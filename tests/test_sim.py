@@ -342,23 +342,28 @@ EDGE_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(EDGE_CASES))
-def test_divergence_at_block_edges(case):
+def test_divergence_at_block_edges(case, tmp_path):
+    # Each case runs twice: without a CSV, and streaming one, which must give
+    # the same report and leave no file.
     plant_name, row, value, expected = EDGE_CASES[case]
     plant, x0 = EDGE_PLANTS[plant_name]()
     sc = Scenario("edge", plant, Kick(row, value), x0, IntegrationSettings(dt=1e-3, t_end=2.048))
-    if expected is None:
-        log = run_scenario(sc)
-        assert len(log) == 2049 and log.u[row] == value and np.all(np.isfinite(log.x))
-        return
-    with pytest.raises(SimulationDiverged) as err:
-        run_scenario(sc)
-    exc = err.value
-    at, state, u, cause = expected
-    assert (exc.row, exc.time, exc.state, repr(exc.u), exc.gain) == (at, at * 1e-3, state,
-                                                                     repr(u), 1.0)
-    assert type(exc.__cause__) is (cause or type(None))
-    assert str(exc) == (f"state became non-finite at t = {at * 1e-3:.6g} s (row {at}; "
-                        f"last finite state x = {list(state)!r}, u = {u!r}, gain = 1.0)")
+    csv = tmp_path / "edge.csv"
+    for csv_path in (None, csv):
+        if expected is None:
+            log = run_scenario(sc, csv_path)
+            assert len(log) == 2049 and log.u[row] == value and np.all(np.isfinite(log.x))
+            continue
+        with pytest.raises(SimulationDiverged) as err:
+            run_scenario(sc, csv_path)
+        exc = err.value
+        at, state, u, cause = expected
+        assert (exc.row, exc.time, exc.state, repr(exc.u), exc.gain) == (at, at * 1e-3, state,
+                                                                         repr(u), 1.0)
+        assert type(exc.__cause__) is (cause or type(None))
+        assert str(exc) == (f"state became non-finite at t = {at * 1e-3:.6g} s (row {at}; "
+                            f"last finite state x = {list(state)!r}, u = {u!r}, gain = 1.0)")
+        assert not csv.exists()
 
 
 def synthetic_log(u, s=None, dt=1e-3):
@@ -610,3 +615,35 @@ class TestCsv:
         write_csv(run_scenario(smooth_scenario(t_end=0.3)), p1)
         write_csv(run_scenario(smooth_scenario(t_end=0.3)), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def tracking_scenario(t_end):
+    plant, x0 = EDGE_PLANTS["tracking"]()
+    return Scenario("tracking", plant, DeltaAdaptiveSMC(phi=0.01, rho=1.0, k=2.0, mu_hat0=0.001),
+                    x0, IntegrationSettings(dt=1e-4, t_end=t_end))
+
+
+class TestStreamedCsv:
+    """run_scenario with a CSV path: the same metrics from a log that holds
+    only the columns they read. test_divergence_at_block_edges and the
+    compare tests in test_cli.py check that a failed run leaves no file."""
+
+    @pytest.mark.parametrize("make", [lambda: smooth_scenario(t_end=2.0),
+                                      lambda: tracking_scenario(2.0)],
+                             ids=["first-order", "tracking"])
+    def test_metrics_equal_the_full_log(self, tmp_path, make):
+        full = run_scenario(make())
+        streamed = run_scenario(make(), csv_path=tmp_path / "log.csv")
+        assert compute_metrics(streamed, 0.01) == compute_metrics(full, 0.01)
+        for name in ("t", "x", "s", "u", "gain"):
+            assert np.array_equal(getattr(streamed, name), getattr(full, name)), name
+        for name in ("gain_rate", "delta_f", "V", "Vprime"):
+            assert getattr(streamed, name) is None, name
+
+    def test_first_order_surface_is_a_view_of_the_state(self, tmp_path):
+        for log in (run_scenario(smooth_scenario(t_end=0.5)),
+                    run_scenario(smooth_scenario(t_end=0.5), csv_path=tmp_path / "log.csv")):
+            assert np.shares_memory(log.s, log.x)
+            assert np.array_equal(log.s, log.x[:, 0])
+        log = run_scenario(tracking_scenario(0.5))
+        assert not np.shares_memory(log.s, log.x)
