@@ -28,7 +28,7 @@ from .sim import (
     certificate_summary,
     verify_ultimate_bound,
     verify_band_excursion,
-    write_csv,
+    write_csv,  # no command calls it; kept as cli.write_csv, which perfbench wraps
 )
 
 EXIT_OK = 0
@@ -51,40 +51,63 @@ def _metrics_lines(name, metrics):
                                        for key, value in metrics.as_dict().items()]
 
 
-def _output_dir(path, create):
-    """Refuse an --out that is a file or lies under one (ConfigError, exit
-    2); with create, make the directory. The commands call this before
-    their first run, so that a bad --out is refused before any integration;
-    run creates its directory only after its scenario ran, so that a failed
-    run leaves none."""
+def _output_dir(path):
+    """Make the directory --out, or refuse one that is a file or lies under
+    one (ConfigError, exit 2). The commands call this once, before their
+    first run, so that a bad --out is refused before any integration.
+    Returns the directories it made, deepest first, for run to remove after
+    a failed run."""
     head = os.path.abspath(path)
+    made = []
     while not os.path.exists(head):
+        made.append(head)
         head = os.path.dirname(head)
     if not os.path.isdir(head):
         raise ConfigError(f"--out {path}: {head} is not a directory")
-    if create:
-        try:
-            os.makedirs(path, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"--out {path}: cannot create the directory ({exc})") from None
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {path}: cannot create the directory ({exc})") from None
+    return made
 
 
-def _csv_path(out_dir, name):
-    return os.path.join(out_dir, f"{name}.csv")
-
-
-def _write_metrics(out_dir, name, log, metrics, extra=None):
-    """<name>.metrics.json and <name>.metrics.txt in out_dir."""
-    payload = {"meta": log.meta, "metrics": metrics.as_dict()}
-    if extra:
-        payload.update(extra)
-    json_path = os.path.join(out_dir, f"{name}.metrics.json")
-    with open(json_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    txt_path = os.path.join(out_dir, f"{name}.metrics.txt")
-    with open(txt_path, "w") as fh:
-        fh.write("\n".join(_metrics_lines(name, metrics)) + "\n")
+def _run_into(out_dir, scenario, phi, certify=False):
+    """Run scenario with its CSV streamed to <name>.csv in out_dir, then
+    write <name>.metrics.json and <name>.metrics.txt there; returns its
+    compute_metrics. With certify (a delta-adaptive run on a plant with a
+    declared bound), metrics.json also records the ultimate-bound check. A
+    scenario that fails for any reason leaves none of the three files, and
+    an OSError on one of them is a ConfigError. run_scenario and
+    compute_metrics are read from cli's globals at each call, so that a
+    wrapper set on them sees the calls."""
+    paths = [os.path.join(out_dir, f"{scenario.name}.{ext}")
+             for ext in ("csv", "metrics.json", "metrics.txt")]
+    path = paths[0]
+    try:
+        log = run_scenario(scenario, csv_path=path)
+        metrics = compute_metrics(log, phi)
+        extra = {}
+        if certify:
+            bounds, _, r2 = _certify(scenario, log)
+            if r2 is not None:
+                # Outside the certificate's preconditions there is nothing to satisfy.
+                metrics.ultimate_bound_satisfied = r2.holds if r2.applicable else None
+                extra["ultimate_bound"] = {"applicable": r2.applicable, "holds": r2.holds,
+                                           "T": r2.T, "b": r2.b, "sigma": bounds.sigma}
+        payload = {"meta": log.meta, "metrics": metrics.as_dict(), **extra}
+        texts = (json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                 "\n".join(_metrics_lines(scenario.name, metrics)) + "\n")
+        for path, text in zip(paths[1:], texts):
+            with open(path, "w") as fh:
+                fh.write(text)
+    except BaseException as exc:
+        for p in paths:
+            if os.path.isfile(p):
+                os.remove(p)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"--out {out_dir}: cannot write {path} ({exc})") from None
+        raise
+    return metrics
 
 
 def _overrides(args):
@@ -113,9 +136,11 @@ def _load(arg, overrides=None):
 def _certify(scenario, log):
     """Certificate bounds of a delta-adaptive run and its ultimate-bound check
     (None when b is not finite: at k = 0, where the decay rate is undefined,
-    or where a tiny k or k*rho makes sigma/k inf), with v0 = V'(0)."""
+    or where a tiny k or k*rho makes sigma/k inf), with v0 = V'(0), which is
+    0 at k = 0."""
     ctl, mu = scenario.controller, scenario.plant.true_bound
-    bounds, ob = certificate_summary(mu, ctl.rho, ctl.phi, ctl.k, v0=float(log.Vprime[0]))
+    v0 = float(sim.lyapunov_vprime(log.s[0], log.gain[0], ctl.k)) if ctl.k > 0.0 else 0.0
+    bounds, ob = certificate_summary(mu, ctl.rho, ctl.phi, ctl.k, v0=v0)
     check = None
     if math.isfinite(bounds.b):  # NaN at k = 0
         check = verify_ultimate_bound(log, ctl.k, ctl.rho, mu, bounds.b)
@@ -124,24 +149,16 @@ def _certify(scenario, log):
 
 def cmd_run(args):
     scenario = _load(args.scenario, _overrides(args))
-    _output_dir(args.out, create=False)
-    log = run_scenario(scenario)
     ctl = scenario.controller
-    metrics = compute_metrics(log, getattr(ctl, "phi", None))
-
-    extra = {}
-    if ctl.kind == "delta_adaptive" and scenario.plant.true_bound is not None:
-        bounds, _, r2 = _certify(scenario, log)
-        if r2 is not None:
-            # Outside the certificate's preconditions there is nothing to satisfy.
-            metrics.ultimate_bound_satisfied = r2.holds if r2.applicable else None
-            extra["ultimate_bound"] = {"applicable": r2.applicable, "holds": r2.holds,
-                                       "T": r2.T, "b": r2.b, "sigma": bounds.sigma}
-    _output_dir(args.out, create=True)
-    csv_path = _csv_path(args.out, scenario.name)
-    write_csv(log, csv_path)
-    _write_metrics(args.out, scenario.name, log, metrics, extra)
-    print(f"wrote {csv_path}")
+    certify = ctl.kind == "delta_adaptive" and scenario.plant.true_bound is not None
+    made = _output_dir(args.out)
+    try:
+        metrics = _run_into(args.out, scenario, getattr(ctl, "phi", None), certify)
+    except BaseException:
+        for path in made:  # deepest first, each empty: a failed run leaves no file
+            os.rmdir(path)
+        raise
+    print(f"wrote {os.path.join(args.out, scenario.name)}.csv")
     for line in _metrics_lines(scenario.name, metrics):
         print(line)
     return EXIT_OK
@@ -293,17 +310,12 @@ def cmd_compare(args):
     # The first delta-adaptive phi, else the first phi.
     ctls = sorted((sc.controller for sc in scenarios), key=lambda c: c.kind != "delta_adaptive")
     phi = next((c.phi for c in ctls if hasattr(c, "phi")), None)
-    _output_dir(args.out, create=True)
+    _output_dir(args.out)
 
     def run_one(sc):
-        # run_scenario is read from cli's globals at each call, so a wrapper
-        # set on cli.run_scenario sees the calls of this process. It writes
-        # the CSV while it integrates and returns a log of the columns the
-        # metrics read, freed before this process runs its next scenario.
-        log = run_scenario(sc, csv_path=_csv_path(args.out, sc.name))
-        metrics = compute_metrics(log, phi)
-        _write_metrics(args.out, sc.name, log, metrics)
-        return sc.name, metrics
+        # The log, of the columns the metrics read, is freed before this
+        # process runs its next scenario.
+        return sc.name, _run_into(args.out, sc, phi)
 
     rows = _forked_map(run_one, scenarios)
     fields = ("reach_time_to_band", "steady_band_mean", "steady_band_max",

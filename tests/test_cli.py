@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from smcsim import cli, config, sim
+from smcsim import cli, config, controllers, sim
 from smcsim.cli import main
 from smcsim.config import load_config, preset_path
 from smcsim.errors import ParameterError, SimulationDiverged, TuningWarning
@@ -183,6 +183,67 @@ class TestRun:
         assert "integration.substeps: must be 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["breach", "divergence"])
+    def test_failure_after_the_first_span_leaves_no_directory(self, tmp_path, capsys, case):
+        # Both fail past row 14 000, after the first 8192-row span of the
+        # CSV was written.
+        if case == "breach":
+            cfg = load_config(preset_path("regulation-smooth"))
+            cfg["integration"]["t_end"] = 5.0
+            cfg["uncertainty"] = {"kind": "smooth_multi_sine", "amplitudes": [1.5],
+                                  "frequencies": [0.5], "phases": [0.0], "bound": 1.0}
+        else:  # x grows as exp(500 t) and overflows at t = 1.4037
+            cfg = {"name": "boom", "plant": {"kind": "linear", "a": 500.0, "b": 1.0},
+                   "uncertainty": {"kind": "smooth_multi_sine", "amplitudes": [0.0],
+                                   "frequencies": [1.0], "phases": [0.0], "bound": 1.0},
+                   "controller": {"kind": "classical", "K": 0.001}, "x0": [1.0],
+                   "integration": {"dt": 1e-4, "substeps": 1, "t_end": 2.0}}
+        out = tmp_path / "out"
+        rc = main(["run", write_scenario(tmp_path, cfg), "--out", str(out / "sub")])
+        err = capsys.readouterr().err
+        if case == "breach":
+            assert (rc, err) == (2, "error: smooth_multi_sine exceeds its declared bound 1.0 "
+                                    "at t = 1.4595: value 1.0000249808480643\n")
+        else:
+            assert rc == 3 and err.startswith("numerical blow-up: state became non-finite at "
+                                              "t = 1.4037 s (row 14037;"), err
+        assert not out.exists()
+
+    def test_interrupt_mid_run_leaves_no_directory(self, tmp_path, monkeypatch):
+        step, calls = controllers.DeltaAdaptiveSMC.step, []
+
+        def interrupted(self, *args):
+            calls.append(1)
+            if len(calls) == 12000:
+                raise KeyboardInterrupt
+            return step(self, *args)
+
+        monkeypatch.setattr(controllers.DeltaAdaptiveSMC, "step", interrupted)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "regulation-smooth", "--t-end", "2", "--out", str(out / "sub")])
+        assert len(calls) == 12000
+        assert not out.exists()
+
+    def test_horizon_too_short_for_the_metrics_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "compare-smooth-adaptive", "--t-end", "0.3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: horizon too short to certify a 0.5 s band dwell\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ext", ["csv", "metrics.json"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch, ext):
+        # The CSV is opened before the integration starts.
+        blocked = tmp_path / f"regulation-smooth.{ext}"
+        blocked.mkdir()
+        if ext == "csv":
+            monkeypatch.setattr(sim, "_integrate", lambda *_: pytest.fail("the scenario ran"))
+        assert main(["run", "regulation-smooth", "--t-end", "0.5", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {tmp_path}: cannot write {blocked} ("), err
+        assert os.listdir(tmp_path) == [blocked.name]
+
 
 # dt is validated once, at the boundary: the controllers' steps take it as
 # given, so a bad dt must never reach them.
@@ -311,6 +372,26 @@ class TestCompare:
         assert rc == 3 and err.startswith("numerical blow-up: "), err
         assert sorted(os.listdir(out)) == [f"{TRIO[0]}.{ext}" for ext in
                                            ("csv", "metrics.json", "metrics.txt")]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_horizon_too_short_for_the_metrics_leaves_no_csv(self, tmp_path, capsys,
+                                                             monkeypatch, w):
+        out = tmp_path / "out"
+        rc, _, err, _ = compare_on(monkeypatch, capsys, w, compare_files(tmp_path, 0.3)[:2], out)
+        assert (rc, err) == (2, "error: horizon too short to certify a 0.5 s band dwell\n")
+        assert os.listdir(out) == []
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("w", [1, 2])
+    @pytest.mark.parametrize("ext", ["csv", "metrics.json"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch, w, ext):
+        out = tmp_path / "out"
+        blocked = out / f"{TRIO[0]}.{ext}"
+        blocked.mkdir(parents=True)
+        rc, _, err, _ = compare_on(monkeypatch, capsys, w, compare_files(tmp_path)[:2], out)
+        assert rc == 2 and err.startswith(f"error: --out {out}: cannot write {blocked} ("), err
+        assert blocked.is_dir() and not (out / f"{TRIO[0]}.csv").is_file()
         assert_no_child_left()
 
 

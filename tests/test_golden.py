@@ -1,7 +1,9 @@
-"""The CSV of every preset, cut to 1 s, as write_csv writes it and as the
-runner streams it, against sha256 digests recorded before the switching
-functions, the validation and the block size of the runner were last
-refactored; and the standard output of ``smcsim verify``
+"""The CSV of every preset, cut to 1 s, as write_csv writes it, as the
+runner streams it and as ``smcsim run`` writes it, against sha256 digests
+recorded before the switching functions, the validation and the block size
+of the runner were last refactored; the ``metrics.json`` of ``smcsim run``
+on every preset cut to 1 s, against digests recorded before ``run`` took
+up the streamed CSV; and the standard output of ``smcsim verify``
 on four presets at their full 30-s horizon, against digests recorded
 before the plants took over the row loop.
 
@@ -44,8 +46,36 @@ def test_preset_csv_digest(name, tmp_path):
     written, streamed = tmp_path / "written.csv", tmp_path / "streamed.csv"
     write_csv(run_scenario(build_scenario(raw)), written)
     run_scenario(build_scenario(raw), csv_path=streamed)
-    for path in (written, streamed):
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[name], path.name
+    assert main(["run", name, "--t-end", "1", "--out", str(tmp_path / "run")]) == 0
+    for path in (written, streamed, tmp_path / "run" / f"{name}.csv"):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[name], path
+
+
+METRICS_DIGESTS = {
+    "compare-smooth-adaptive": "fac0fc5e551192ee45ef1c737890bd843e571d6831bdc14c43d492ba1055a545",
+    "compare-smooth-plestan-fast":
+        "d0840b1ed05feef48af0f448ea7b9d1d4bed9cd5f3c312b61e92066224022e41",
+    "compare-smooth-plestan-slow":
+        "a1be6c9432a798db5bf75cc3409fb27d58d9dd71a3d856562b9a9931f6bfdc5e",
+    "regulation-smooth": "b8efb25c90bde8c33c8a5695758acc8fd4c4885be48ff7ac760b62d7d8aee07c",
+    "regulation-smooth-boundary-layer":
+        "515ad2f93d6b724719533de1fb5f9c0fe90695dd8c21e96e87f0377bde225c22",
+    "regulation-smooth-classical":
+        "18c9ed449c69b821eadbcb9c3f9144ea8471a24a078e1d6dd19eab2209db4720",
+    "regulation-smooth-utkin": "5391e88468dc767acbbaedb9e2b3b7daf134b2908ff221c481ae2a69804b37bb",
+    "regulation-square": "0b6059dced6cbe39b2691846b91173834a51ccb5b70c51a0d2e640d27be1cf76",
+    "tracking": "48903f6b208849febd9e05a51a272c9ccf6a6233de2781f987abf52f01d989ac",
+}
+
+
+@pytest.mark.parametrize("name", sorted(METRICS_DIGESTS))
+def test_run_metrics_json_digest(name, tmp_path):
+    # The ultimate-bound entry of the delta-adaptive presets reads v0 from
+    # the log's s and gain, as the V' column's first row held it.
+    assert sorted(METRICS_DIGESTS) == list_presets()
+    assert main(["run", name, "--t-end", "1", "--out", str(tmp_path)]) == 0
+    path = tmp_path / f"{name}.metrics.json"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == METRICS_DIGESTS[name]
 
 
 VERIFY_DIGESTS = {
