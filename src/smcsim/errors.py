@@ -14,7 +14,8 @@ class DomainError(SmcError, ValueError):
 
 
 class InsufficientDataError(SmcError, RuntimeError):
-    """A log is too short for the requested metric or diagnostic."""
+    """A log is too short, or lacks a column, for the requested metric,
+    diagnostic or file."""
 
 
 class ConfigError(SmcError, ValueError):

@@ -6,10 +6,10 @@ and the plant takes one RK4 step of length dt to the next sample. Each
 plant runs that loop itself over a block of rows (``run_rows`` in
 smcsim.plants); the runner hands it the block's inputs, copies the rows it
 logged into the trajectory log and checks them for finiteness, once per
-block. Given a CSV path, the runner also writes the log's CSV as it goes,
-one span of CHUNK rows at a time, and keeps only the columns the metrics
-read at full length. Everything is deterministic; identical scenarios
-produce bit-identical logs and CSVs.
+block. The caller names the columns it reads whole; the runner holds the
+others one span of CHUNK rows at a time. Given a CSV path,
+it also writes the log's CSV as it goes, a span at a time. Everything is
+deterministic; identical scenarios produce bit-identical logs and CSVs.
 
 The log carries the two Lyapunov-style columns for delta-adaptive runs on
 plants with a declared uncertainty bound:
@@ -41,6 +41,9 @@ CERTIFICATE_TOL = 0.05  # the bound checks allow (1 + this) times the certified 
 # Rows per slice of the passes over a finished log, and per span of a CSV
 # that the runner writes while it integrates: 8 blocks.
 CHUNK = 8 * BLOCK
+# The columns of a trajectory log, and those that compute_metrics reads.
+COLUMNS = ("t", "x", "s", "u", "gain", "gain_rate", "delta_f", "V", "Vprime")
+METRIC_COLUMNS = ("t", "x", "s", "u", "gain")
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,7 @@ def row_count(t_end: float, dt: float) -> int:
     return int(math.floor(q * (1.0 + 1e-12))) + 1
 
 
-def run_scenario(scenario: Scenario, csv_path=None) -> TrajectoryLog:
+def run_scenario(scenario: Scenario, csv_path=None, keep=None) -> TrajectoryLog:
     """Simulate the closed loop and return the sampled trajectory.
 
     Rows are processed BLOCK at a time. For each block
@@ -137,26 +140,31 @@ def run_scenario(scenario: Scenario, csv_path=None) -> TrajectoryLog:
     of dt and each plant's g, fixed and nonzero when it is built, are the
     whole of the controller step's contract: steps check nothing themselves.
 
-    With csv_path, the bytes that write_csv would write of the log are
-    written there during the run, a span of CHUNK rows at a time once every
-    block in it has passed the checks. The log's gain_rate, delta_f, V and
-    Vprime are then held one span at a time and are None on the returned
-    log; t, x, s, u and gain, which compute_metrics reads, are whole. A run
-    that raises leaves no file at csv_path. For a first-order plant s is a
-    view of the state column of x, with or without a path.
+    keep names the columns (of COLUMNS) that the returned log holds whole;
+    every other column is None on it. By default that is every column, or
+    with csv_path the METRIC_COLUMNS that compute_metrics reads. t is
+    always whole (the block inputs read it), and for a first-order plant s
+    is a view of the state column of x, so keeping either keeps both. A
+    column that is not kept is held one span of CHUNK rows at a time.
+
+    With csv_path, the bytes that write_csv would write of a whole log are
+    written there during the run, a span at a time once every block in it
+    has passed the checks. A run that raises leaves no file at csv_path.
     """
+    if keep is None:
+        keep = COLUMNS if csv_path is None else METRIC_COLUMNS
     if csv_path is None:
-        return _integrate(scenario, None)
+        return _integrate(scenario, None, keep)
     with open(csv_path, "wb") as fh:
         try:
-            return _integrate(scenario, fh)
+            return _integrate(scenario, fh, keep)
         except BaseException:
             fh.close()
             os.remove(csv_path)
             raise
 
 
-def _integrate(scenario, fh):
+def _integrate(scenario, fh, keep):
     """run_scenario's loop; with fh, an open binary file, the CSV goes there."""
     plant = scenario.plant
     controller = scenario.controller
@@ -166,10 +174,13 @@ def _integrate(scenario, fh):
     n = row_count(st.t_end, dt)
     step = controller.step  # looked up on the instance, where a tracer may wrap it
     first_order = plant.n_states == 1  # s is x1 and delta_f the sample input
-    # Rows held by the columns that only the CSV reads (gain_rate, delta_f,
-    # V, Vprime): all of them, or with a CSV one span; spans start at the
-    # multiples of `span`.
-    span = n if fh is None else min(n, CHUNK)
+    keep = {"t", *keep}
+    if first_order and keep & {"x", "s"}:
+        keep |= {"x", "s"}
+    # A column that is not kept holds one span of rows; spans start at the
+    # multiples of `span`. x has one row more, where a block puts the state
+    # of the next block's first row.
+    span = min(n, CHUNK)
 
     # In place, so that no log-sized temporary is freed before the log is
     # allocated: glibc would then raise its mmap threshold and place the log
@@ -177,19 +188,29 @@ def _integrate(scenario, fh):
     try:
         t_arr = np.arange(n, dtype=float)
         t_arr *= dt
-        x_arr = np.empty((n, plant.n_states))
-        s_arr = x_arr[:, 0] if first_order else np.empty(n)
-        u_arr, gain_arr = np.empty(n), np.empty(n)
-        rate_arr, df_arr = np.empty(span), np.empty(span)
-        v_arr, vp_arr = np.zeros(span), np.zeros(span)
+        cols = {"t": t_arr, "x": np.empty((n if "x" in keep else span + (span < n),
+                                           plant.n_states))}
+        for name in COLUMNS[2:]:
+            if name == "s" and first_order:
+                cols[name] = cols["x"][:, 0]
+            else:
+                cols[name] = (np.zeros if name in ("V", "Vprime") else np.empty)(
+                    n if name in keep else span)
     except (MemoryError, ValueError) as exc:  # beyond memory, or beyond numpy's size limit
         raise ParameterError(f"cannot allocate a log of {n} rows ({exc})") from None
 
-    def diverged(row, r, controlled, column="state"):
-        """The report for row ``row`` from the logged state of row r, with
-        that row's u and gain when the controller ran on it."""
-        u, gain = (u_arr[r].item(), gain_arr[r].item()) if controlled else (None, None)
-        return SimulationDiverged(row * dt, row=row, state=tuple(x_arr[r].tolist()),
+    def rows(name, r0, r1):
+        """Rows r0..r1-1 of a column, all in one span: a column that is not
+        kept holds row r at r - o, o the first row of its span."""
+        o = 0 if name in keep else r0 - r0 % span
+        return cols[name][r0 - o:r1 - o]
+
+    def diverged(i, r, controlled, column="state"):
+        """The report for row c0 + i from the logged state of row c0 + r of
+        the current block, with that row's u and gain when the controller
+        ran on it."""
+        u, gain = (ub[r].item(), gb[r].item()) if controlled else (None, None)
+        return SimulationDiverged((c0 + i) * dt, row=c0 + i, state=tuple(xb[r].tolist()),
                                   u=u, gain=gain, column=column)
 
     mu = plant.true_bound
@@ -201,7 +222,6 @@ def _integrate(scenario, fh):
     for c0 in range(0, n, BLOCK):
         c1 = min(c0 + BLOCK, n)
         m = min(c1, n - 1) - c0  # rows that integrate on to the next sample
-        o = c0 - c0 % span  # the span's first row: row r sits at r - o in its columns
         w = plant.block_inputs(t_arr[c0:c1], m, dt)
         log = RowLog()
         error = None
@@ -212,53 +232,50 @@ def _integrate(scenario, fh):
             if isinstance(exc, SmcError):
                 raise
             error = exc
-        # Rows c0..k1-1 stepped the controller; rows c0..r1-1 have a state,
-        # the one after the block's last step included.
-        k1 = c0 + len(log.u)
-        r1 = c0 + len(log.x1)
-        x_arr[c0:r1, 0] = log.x1
-        if first_order:
-            df_arr[c0 - o:k1 - o] = w[:k1 - c0]
-        else:
-            x_arr[c0:r1, 1] = log.x2
-            s_arr[c0:k1] = log.s
-            df_arr[c0 - o:k1 - o] = log.delta_f
-        u_arr[c0:k1], gain_arr[c0:k1], rate_arr[c0 - o:k1 - o] = log.u, log.gain, log.gain_rate
+        # The block's rows of each column, indexed from 0 at row c0; x has
+        # row c1 too. Rows 0..k-1 stepped the controller; rows 0..r-1 have a
+        # state, the one after the block's last step included.
+        xb = rows("x", c0, c1 + 1)
+        sb, ub, gb, rb, db, vb, vpb = (rows(name, c0, c1) for name in COLUMNS[2:])
+        k, r = len(log.u), len(log.x1)
+        xb[:r, 0] = log.x1
+        if not first_order:
+            xb[:r, 1] = log.x2
+            sb[:k] = log.s
+        db[:k] = w[:k] if first_order else log.delta_f
+        rb[:k], ub[:k], gb[:k] = log.gain_rate, log.u, log.gain
         if error is None and c1 < n:
-            x_arr[c1] = (x1, x2)[:plant.n_states]  # the next block writes it again
-            r1 += 1
+            xb[c1 - c0] = (x1, x2)[:plant.n_states]  # the next block writes it again
+            r += 1
         # Row c0's state was checked with the previous block. Per row the
         # order is: its state (from the step before), its surface, its control.
-        bad = ~np.isfinite(x_arr[c0:r1]).all(axis=1)
-        bad[:k1 - c0] |= ~(np.isfinite(s_arr[c0:k1]) & np.isfinite(u_arr[c0:k1]))
+        bad = ~np.isfinite(xb[:r]).all(axis=1)
+        bad[:k] |= ~(np.isfinite(sb[:k]) & np.isfinite(ub[:k]))
         if bad.any():
-            i = c0 + int(np.argmax(bad))
-            if not np.isfinite(x_arr[i]).all():
+            i = int(np.argmax(bad))
+            if not np.isfinite(xb[i]).all():
                 raise diverged(i, i - 1, True)
-            raise diverged(i, i, math.isfinite(s_arr[i]))
+            raise diverged(i, i, math.isfinite(sb[i]))
         if error is not None:
-            if r1 > k1:  # row k1 has a state: its sample raised
-                raise diverged(k1, k1, False) from error
-            raise diverged(k1, k1 - 1, True) from error  # row k1 - 1's RK4 step raised
+            if r > k:  # row k has a state: its sample raised
+                raise diverged(k, k, False) from error
+            raise diverged(k, k - 1, True) from error  # row k - 1's RK4 step raised
         if lyap is not None:
-            s_blk, gain_blk = s_arr[c0:c1], gain_arr[c0:c1]
-            v_blk, vp_blk = v_arr[c0 - o:c1 - o], vp_arr[c0 - o:c1 - o]
             with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-                v_blk[:] = lyapunov_value(s_blk, gain_blk, mu, lyap.rho, lyap.phi)
+                vb[:] = lyapunov_value(sb, gb, mu, lyap.rho, lyap.phi)
                 if lyap.k > 0.0:
-                    vp_blk[:] = lyapunov_vprime(s_blk, gain_blk, lyap.k)
-            ok = np.isfinite(v_blk) & np.isfinite(vp_blk)
+                    vpb[:] = lyapunov_vprime(sb, gb, lyap.k)
+            ok = np.isfinite(vb) & np.isfinite(vpb)
             if not ok.all():
                 i = int(np.argmin(ok))
-                raise diverged(c0 + i, c0 + i, True, "Vprime" if math.isfinite(v_blk[i]) else "V")
+                raise diverged(i, i, True, "Vprime" if math.isfinite(vb[i]) else "V")
         # Free this block's inputs and rows before the next block builds its
         # own, so that two blocks' worth never coexist at the memory peak.
         del w, log
-        if fh is not None and (c1 - o == span or c1 == n):
-            k = c1 - o
-            _write_rows(fh, TrajectoryLog(t_arr[o:c1], x_arr[o:c1], s_arr[o:c1], u_arr[o:c1],
-                                          gain_arr[o:c1], rate_arr[:k], df_arr[:k], v_arr[:k],
-                                          vp_arr[:k]), header=o == 0)
+        if fh is not None and (c1 % span == 0 or c1 == n):
+            o = c0 - c0 % span
+            _write_rows(fh, TrajectoryLog(*(rows(name, o, c1) for name in COLUMNS)),
+                        header=o == 0)
 
     meta = {
         "scenario": scenario.name,
@@ -270,10 +287,7 @@ def _integrate(scenario, fh):
         "integrator": "rk4 plant substeps, euler adaptive states, zero-order-hold control",
         "package_version": __version__,
     }
-    if fh is not None:  # the span columns: written, and holding only the last span
-        rate_arr = df_arr = v_arr = vp_arr = None
-    return TrajectoryLog(t_arr, x_arr, s_arr, u_arr, gain_arr, rate_arr, df_arr, v_arr, vp_arr,
-                         meta)
+    return TrajectoryLog(*(cols[name] if name in keep else None for name in COLUMNS), meta)
 
 
 def _write_rows(fh, log, header):
@@ -301,7 +315,12 @@ def _write_rows(fh, log, header):
 
 def write_csv(log: TrajectoryLog, path):
     """Serialize a log that has every column (run_scenario without a CSV
-    path) as run_scenario with one writes it."""
+    path or keep) as run_scenario with a path writes it. A log that lacks
+    columns raises InsufficientDataError naming them, and no file is made."""
+    missing = [name for name in COLUMNS if getattr(log, name) is None]
+    if missing:
+        raise InsufficientDataError(f"cannot write a CSV of a log without its "
+                                    f"{', '.join(missing)} column(s)")
     with open(path, "wb") as fh:
         _write_rows(fh, log, header=True)
 
@@ -454,6 +473,13 @@ def lyapunov_decay_bound(a, phi, k):
     return -k * a * core.adaptation_shape(a, phi)
 
 
+def check_trace_rows(n):
+    """Raise InsufficientDataError unless a log of n rows is long enough for
+    lyapunov_trace."""
+    if n < 3:
+        raise InsufficientDataError("need at least 3 rows for central differences")
+
+
 def lyapunov_trace(log: TrajectoryLog, mu, rho, phi, k) -> LyapunovTrace:
     """Check discrete V-dot <= -k*|s|*shape(s) + slack on rows with |s| >= eta.
 
@@ -465,8 +491,7 @@ def lyapunov_trace(log: TrajectoryLog, mu, rho, phi, k) -> LyapunovTrace:
     reads one row more on either side for the differences.
     """
     n = len(log)
-    if n < 3:
-        raise InsufficientDataError("need at least 3 rows for central differences")
+    check_trace_rows(n)
     dt = log.dt
     eta = ultimate_band(phi)
     checked = np.empty(n - 2, dtype=bool)

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -465,6 +466,44 @@ class TestVerify:
         assert re.search(r"^m = \S+  delta = \S+$", res.stdout, re.M)
         res = smcsim_cli("run", path, "--out", str(tmp_path / "out"))
         assert res.returncode == 0, res.stderr
+
+    def test_fewer_than_three_rows_exits_2_before_any_output(self, capsys, monkeypatch):
+        # 2 rows: the decay check's central differences need 3, so the
+        # command refuses before it integrates or prints anything.
+        monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: pytest.fail("the scenario ran"))
+        assert main(["verify", "regulation-square", "--t-end", "1e-4"]) == 2
+        assert capsys.readouterr() == ("", "error: need at least 3 rows for central "
+                                           "differences\n")
+
+    def test_holds_only_the_columns_its_checks_read(self, capsys, monkeypatch):
+        # The log holds t, x (s is its view) and gain whole; the other five
+        # columns are held one span at a time. The
+        # traced peak (numpy reports its buffers to tracemalloc) stays under
+        # the three whole columns plus 1 MiB for those spans, one block's
+        # row lists and the checks' chunk temporaries; holding every column
+        # (eight, as before) would exceed it.
+        run, kinds = cli.run_scenario, {}
+
+        def recording(*args, **kwargs):
+            log = run(*args, **kwargs)
+            kinds.update((name, type(getattr(log, name))) for name in sim.COLUMNS)
+            return log
+
+        monkeypatch.setattr(cli, "run_scenario", recording)
+        argv = ["verify", "regulation-square", "--t-end", "2"]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert "decay check" in capsys.readouterr().out
+        assert kinds == {name: np.ndarray if name in ("t", "x", "s", "gain") else type(None)
+                         for name in sim.COLUMNS}
+        n = row_count(2.0, 1e-4)
+        assert peak < 3 * 8 * n + (1 << 20), peak
 
     def test_underflowing_rho_phi_exits_0(self, tmp_path, capsys):
         # rho*phi = 1e-330 underflows to 0: the stiffness ceiling is capped

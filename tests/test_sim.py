@@ -276,10 +276,10 @@ class TestRunScenario:
 
 
 class Kick(ClassicalSMC):
-    """ClassicalSMC(1.0) whose step returns u = value on one row."""
+    """ClassicalSMC(K) whose step returns u = value on one row."""
 
-    def __init__(self, row, value):
-        super().__init__(1.0)
+    def __init__(self, row, value, K=1.0):
+        super().__init__(K)
         self.row, self.value = row, value
 
     def reset(self):
@@ -364,6 +364,49 @@ def test_divergence_at_block_edges(case, tmp_path):
         assert str(exc) == (f"state became non-finite at t = {at * 1e-3:.6g} s (row {at}; "
                             f"last finite state x = {list(state)!r}, u = {u!r}, gain = 1.0)")
         assert not csv.exists()
+
+
+VERIFY_COLUMNS = ("t", "s", "gain")  # the columns smcsim verify keeps
+
+
+def divergence_report(sc, **kwargs):
+    with pytest.raises(SimulationDiverged) as err:
+        run_scenario(sc, **kwargs)
+    exc = err.value
+    return (exc.row, exc.time, exc.state, repr(exc.u), repr(exc.gain), str(exc),
+            type(exc.__cause__))
+
+
+# (plant, its Kick gain, kicked u): the tracking plant needs K = 5 to stay
+# finite until the kick, and u = 1e50 makes it take math.sin of an
+# overflowed value two rows on.
+SPAN_EDGE_KICKS = [("regulation", 1.0, 1.7e308), ("regulation", 1.0, math.nan),
+                   ("linear", 1.0, 1.7e308), ("linear", 1.0, math.nan),
+                   ("tracking", 5.0, 1.7e308), ("tracking", 5.0, math.nan),
+                   ("tracking", 5.0, 1e50)]
+
+
+@pytest.mark.parametrize("row", [8191, 8192, 8193])
+@pytest.mark.parametrize("plant_name, K, value", SPAN_EDGE_KICKS,
+                         ids=[f"{p}-{v!r}" for p, _, v in SPAN_EDGE_KICKS])
+def test_divergence_at_span_edges(plant_name, K, value, row, tmp_path):
+    # Row 8192 opens the second span of CHUNK rows, so a report there reads
+    # u and gain of row 8191 in the span before. Holding u (and with keep
+    # ("t",) x and s too) one span at a time, or streaming a CSV, must give
+    # the report of the full log, and leave no file.
+    assert sim.CHUNK == 8192
+
+    def scenario():
+        plant, x0 = EDGE_PLANTS[plant_name]()
+        return Scenario("edge", plant, Kick(row, value, K), x0,
+                        IntegrationSettings(dt=1e-3, t_end=8.2))
+
+    csv = tmp_path / "edge.csv"
+    full = divergence_report(scenario())
+    assert row <= full[0] <= row + 2
+    for kwargs in ({"keep": VERIFY_COLUMNS}, {"keep": ("t",)}, {"csv_path": csv}):
+        assert divergence_report(scenario(), **kwargs) == full, kwargs
+    assert not csv.exists()
 
 
 def synthetic_log(u, s=None, dt=1e-3):
@@ -616,6 +659,19 @@ class TestCsv:
         write_csv(run_scenario(smooth_scenario(t_end=0.3)), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("kwargs, missing", [
+        ({"csv_path": "streamed.csv"}, "gain_rate, delta_f, V, Vprime"),
+        ({"keep": VERIFY_COLUMNS}, "u, gain_rate, delta_f, V, Vprime"),
+    ], ids=["streamed", "verify"])
+    def test_log_lacking_columns_makes_no_file(self, tmp_path, kwargs, missing):
+        kwargs = {k: tmp_path / v if k == "csv_path" else v for k, v in kwargs.items()}
+        log = run_scenario(smooth_scenario(t_end=0.3), **kwargs)
+        path = tmp_path / "b.csv"
+        with pytest.raises(InsufficientDataError,
+                           match=f"without its {missing} column"):
+            write_csv(log, path)
+        assert not path.exists()
+
 
 def tracking_scenario(t_end):
     plant, x0 = EDGE_PLANTS["tracking"]()
@@ -639,6 +695,30 @@ class TestStreamedCsv:
             assert np.array_equal(getattr(streamed, name), getattr(full, name)), name
         for name in ("gain_rate", "delta_f", "V", "Vprime"):
             assert getattr(streamed, name) is None, name
+
+    @pytest.mark.parametrize("keep", [VERIFY_COLUMNS, ("t",), ("s", "gain_rate"),
+                                      ("u", "delta_f", "V", "Vprime")],
+                             ids=["verify", "t", "s-rate", "u-df-V"])
+    @pytest.mark.parametrize("make", [lambda: smooth_scenario(t_end=1.0),
+                                      lambda: tracking_scenario(1.0)],
+                             ids=["first-order", "tracking"])
+    def test_kept_columns_equal_the_full_log(self, tmp_path, make, keep):
+        # 10 001 rows: the columns not kept start their span over once.
+        full = run_scenario(make())
+        part = run_scenario(make(), keep=keep)
+        kept = {"t", *keep}
+        if full.x.shape[1] == 1 and kept & {"x", "s"}:
+            kept |= {"x", "s"}  # s is a view of x
+        for name in sim.COLUMNS:
+            if name in kept:
+                assert np.array_equal(getattr(part, name), getattr(full, name)), name
+            else:
+                assert getattr(part, name) is None, name
+        streamed = tmp_path / "log.csv"
+        run_scenario(make(), csv_path=streamed, keep=keep)
+        written = tmp_path / "full.csv"
+        write_csv(full, written)
+        assert streamed.read_bytes() == written.read_bytes()
 
     def test_first_order_surface_is_a_view_of_the_state(self, tmp_path):
         for log in (run_scenario(smooth_scenario(t_end=0.5)),
