@@ -340,48 +340,50 @@ def cmd_verify(args):
     mu = scenario.plant.true_bound
     if mu is not None:  # before any output: the decay check needs 3 rows
         sim.check_trace_rows(sim.row_count(scenario.settings.t_end, scenario.settings.dt))
-    eta = ultimate_band(ctl.phi)
-    print(f"eta = {eta:.9g}")
-
+    eta = f"eta = {ultimate_band(ctl.phi):.9g}"
     if mu is None:
+        print(eta)
         print("bound checks: not applicable (plant has no declared uncertainty bound)")
         return EXIT_OK
 
+    # Printed once the run and its checks have finished: a failed run prints nothing.
+    report = [eta]
     # The columns the checks read; the log holds the others one span at a time.
     log = run_scenario(scenario, keep=("t", "s", "gain"))
     bounds, ob, r2 = _certify(scenario, log)
     factor = f"{1.0 + sim.CERTIFICATE_TOL:g}"  # each check's limit is this times b or delta
-    print(f"sigma = {_fmt(bounds.sigma)}  T = {_fmt(bounds.T)}  b = {_fmt(bounds.b)}")
+    report.append(f"sigma = {_fmt(bounds.sigma)}  T = {_fmt(bounds.T)}  b = {_fmt(bounds.b)}")
     if ob.feasible:
-        print(f"m = {ob.m:.9g}  delta = {ob.delta:.9g}")
+        report.append(f"m = {ob.m:.9g}  delta = {ob.delta:.9g}")
     else:
-        print("m: infeasible for these mu, rho, phi (no excursion bound certified)")
+        report.append("m: infeasible for these mu, rho, phi (no excursion bound certified)")
 
     if r2 is not None:
         status = "not applicable" if not r2.applicable else ("pass" if r2.holds else "FAIL")
         detail = f"max V' after T = {_fmt(r2.max_vprime_after)} vs {factor}*b = {_fmt(r2.limit)}"
         if r2.reason:
             detail += f" ({r2.reason})"
-        print(f"ultimate-bound check: {status}  {detail}")
+        report.append(f"ultimate-bound check: {status}  {detail}")
     elif ctl.k == 0.0:
-        print("ultimate-bound check: not applicable (k = 0, decay rate undefined)")
+        report.append("ultimate-bound check: not applicable (k = 0, decay rate undefined)")
     else:
-        print(f"ultimate-bound check: not applicable (sigma = {_fmt(bounds.sigma)}, "
-              f"b = {_fmt(bounds.b)}: not finite at k*rho = {_fmt(ctl.k * ctl.rho)})")
+        report.append(f"ultimate-bound check: not applicable (sigma = {_fmt(bounds.sigma)}, "
+                      f"b = {_fmt(bounds.b)}: not finite at k*rho = {_fmt(ctl.k * ctl.rho)})")
 
     r3 = verify_band_excursion(log, ob.m, ob.delta, ctl.phi)
     if not r3.applicable:
-        print(f"excursion-bound check: not applicable ({r3.reason})")
+        report.append(f"excursion-bound check: not applicable ({r3.reason})")
     else:
         status = "pass" if r3.holds else "FAIL"
-        print(f"excursion-bound check: {status}  max |s| after band entry = "
-              f"{r3.max_excursion:.6g} vs {factor}*delta = {r3.limit:.6g}")
+        report.append(f"excursion-bound check: {status}  max |s| after band entry = "
+                      f"{r3.max_excursion:.6g} vs {factor}*delta = {r3.limit:.6g}")
 
     trace = lyapunov_trace(log, mu, ctl.rho, ctl.phi, ctl.k)
     checked = int(trace.checked.sum())
-    print(f"decay check outside the band: {checked - len(trace.violations)}/{checked} rows "
-          f"within certificate (+slack); {len(trace.isolated_violations)} violations away "
-          "from band crossings")
+    report.append(f"decay check outside the band: {checked - len(trace.violations)}/{checked} "
+                  f"rows within certificate (+slack); {len(trace.isolated_violations)} "
+                  "violations away from band crossings")
+    print("\n".join(report))
     return EXIT_OK
 
 

@@ -369,13 +369,14 @@ def load_config(path):
 
 def load_scenario(path, overrides=None) -> Scenario:
     """Load, validate and build a scenario file; overrides patch integration
-    settings (keys dt / t_end) before the build."""
+    settings (keys dt / t_end) before the build. They patch an "integration"
+    object, or an absent one, only: any other file is refused as it is
+    without them."""
     raw = load_config(path)
-    if overrides:
-        integ = dict(raw.get("integration", {}) or {})
-        integ.update(overrides)
-        raw = dict(raw)
-        raw["integration"] = integ
+    if overrides and isinstance(raw, dict):
+        integ = raw.get("integration", {})
+        if isinstance(integ, dict):
+            raw = {**raw, "integration": {**integ, **overrides}}
     return build_scenario(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 

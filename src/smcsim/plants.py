@@ -12,12 +12,12 @@ rows. The runner calls two methods per block:
                                     grid[:m] + dt of the RK4 steps of its
                                     first m rows
     run_rows(x1, x2, w, m, step, dt, log)
-                                 -> (x1, x2) after the block. Per row: the
-                                    surface, exactly one controller
-                                    ``step(s, h, g, dt)`` and, on the first m
-                                    rows, one classical RK4 step of length dt
-                                    with u held. The rows' values go to the
-                                    lists of ``log``, a RowLog
+                                 -> (x1, x2) after the block's first m rows.
+                                    Per row: the surface, exactly one
+                                    controller ``step(s, h, g, dt)`` and one
+                                    classical RK4 step of length dt with u
+                                    held. The rows' values go to the lists
+                                    of ``log``, a RowLog
 
 The scalar reference forms, one instant or one row at a time, are
 
@@ -30,13 +30,13 @@ The scalar reference forms, one instant or one row at a time, are
                                     matched disturbance delta_f entering the
                                     s-dynamics, logged for diagnostics
 
-The runner calls none of them (``run_rows`` takes ``sample`` only for the
-run's last row, which takes no RK4 step). ``run_rows`` writes the surface
-and the four RK4 stages of ``rhs`` inline, in the operation order of
-``sample`` and of a generic RK4 over ``rhs``, so that the controller step is
-the one call per row; tests/test_equivalence.py pins it to them bit for
-bit. Plants have at most two states; a first-order plant ignores x2, returns
-0.0 as its rate and leaves x2 unchanged.
+The runner calls ``inputs`` and ``sample`` once per run, for the last row,
+which takes no RK4 step and so is not one of the m rows of its block.
+``run_rows`` writes the surface and the four RK4 stages of ``rhs`` inline,
+in the operation order of ``sample`` and of a generic RK4 over ``rhs``, so
+that the controller step is the one call per row; tests/test_equivalence.py
+pins it to them bit for bit. Plants have at most two states; a first-order
+plant ignores x2, returns 0.0 as its rate and leaves x2 unchanged.
 
 ``run_rows`` appends a row's state before it evaluates the surface, and the
 row's other values once its controller step has returned, so that after a
@@ -280,7 +280,8 @@ def _rk4_instants(grid, m, dt):
 
 
 class RowLog:
-    """One block's rows, one list per log column, as ``run_rows`` appends them."""
+    """One block's rows, one list per log column, as ``run_rows`` (and the
+    runner, for the run's last row) appends them."""
 
     __slots__ = ("x1", "x2", "s", "u", "gain", "gain_rate", "delta_f")
 
@@ -342,12 +343,6 @@ class RegulationPlant(_ScalarPlant):
             # The rate does not depend on x, so RK4 stages 2 and 3 coincide.
             a2 = wm + u
             x1 = x1 + dt * (w0 + u + 2.0 * a2 + 2.0 * a2 + (w1 + u)) / 6.0
-        for _ in w[m:c]:  # the run's last row: no RK4 step follows
-            xs.append(x1)
-            u, gain, rate = step(x1, 0.0, 1.0, dt)
-            us.append(u)
-            gains.append(gain)
-            rates.append(rate)
         return x1, x2
 
 
@@ -393,12 +388,6 @@ class LinearPlant(_ScalarPlant):
             a3 = a * (x1 + hh * a2) + bu + wm
             a4 = a * (x1 + dt * a3) + bu + w1
             x1 = x1 + dt * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
-        for _ in w[m:c]:  # the run's last row: no RK4 step follows
-            xs.append(x1)
-            u, gain, rate = step(x1, a * x1, b, dt)
-            us.append(u)
-            gains.append(gain)
-            rates.append(rate)
         return x1, x2
 
 
@@ -491,14 +480,4 @@ class TrackingPlant(_Plant):
             b4 = p * a4 + sin(p) + de + u
             x1, x2 = (x1 + dt * (x2 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0,
                       x2 + dt * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0)
-        for k in range(m, c):  # the run's last row: no RK4 step follows
-            x1s.append(x1)
-            x2s.append(x2)
-            s, h, g, delta_f = self.sample(x1, x2, (dx1[k], d[k], yd[k], yd_dot[k], yd_ddot[k]))
-            u, gain, rate = step(s, h, g, dt)
-            ss.append(s)
-            us.append(u)
-            gains.append(gain)
-            rates.append(rate)
-            dfs.append(delta_f)
         return x1, x2

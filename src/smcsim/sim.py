@@ -125,9 +125,10 @@ def run_scenario(scenario: Scenario, csv_path=None, keep=None) -> TrajectoryLog:
     vectorized, at the instants the loop uses: the samples i*dt, which start
     each RK4 step, and the step's midpoint i*dt + 0.5*dt and end i*dt + dt.
     A value above its signal's declared bound raises ParameterError naming
-    the block's earliest offending instant. ``plant.run_rows`` then steps the
-    block: one ``controller.step`` per row, the plant's surface and RK4
-    arithmetic inline around it, and no step after the run's last row.
+    the block's earliest offending instant. ``plant.run_rows`` then steps
+    the block's rows but the run's last: one ``controller.step`` per row,
+    the plant's surface and RK4 arithmetic inline around it. The runner
+    steps that last row, which takes no RK4 step, through ``plant.sample``.
 
     After each block one numpy pass checks the state, the surface and the
     control for finiteness. Raises SimulationDiverged at the first row whose
@@ -227,6 +228,13 @@ def _integrate(scenario, fh, keep):
         error = None
         try:
             x1, x2 = plant.run_rows(x1, x2, w, m, step, dt, log)
+            if c1 == n:  # the run's last row: state, surface, control, no RK4 step
+                log.x1.append(x1)
+                log.x2.append(x2)
+                s, h, g, delta_f = plant.sample(x1, x2, plant.inputs(t_arr[n - 1:])[0])
+                u, gain, rate = step(s, h, g, dt)
+                for name, v in zip(RowLog.__slots__[2:], (s, u, gain, rate, delta_f)):
+                    getattr(log, name).append(v)
         except ValueError as exc:
             # math.sin of an overflowed value; package errors pass unchanged.
             if isinstance(exc, SmcError):

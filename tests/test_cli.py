@@ -258,6 +258,33 @@ def test_bad_dt_rejected_at_the_boundary(tmp_path, capsys, dt):
     assert not out.exists()
 
 
+# Files that config refuses, each with its error: a top level that is not an
+# object, and an "integration" that is not one.
+MALFORMED = {
+    "top level list": (None, "scenario: top level must be an object"),
+    "integration list": ([1e-4, 1.0], "integration: expected <class 'dict'>, got list"),
+    "integration string": ("1e-4", "integration: expected <class 'dict'>, got str"),
+    "integration null": (None, "integration: expected <class 'dict'>, got NoneType"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_override_on_a_malformed_file_exits_2(tmp_path, capsys, command, case):
+    # --t-end merges into an "integration" object only; any other file is
+    # refused with the ConfigError that it gets without the override.
+    integration, error = MALFORMED[case]
+    cfg = load_config(preset_path("regulation-smooth"))
+    cfg["integration"] = integration
+    path = write_scenario(tmp_path, [cfg] if case == "top level list" else cfg)
+    out = tmp_path / "out"
+    argv = [command, path] + (["--out", str(out)] if command == "run" else [])
+    for extra in ([], ["--t-end", "1"]):
+        assert main(argv + extra) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert not out.exists()
+
+
 class TestCompare:
     def test_shared_scenario_table(self, tmp_path, capsys):
         files = []
@@ -552,7 +579,7 @@ class TestSignalsAndColumns:
         assert main([command, path] + (["--out", str(out_dir)] if command == "run" else [])) == 2
         out, err = capsys.readouterr()
         assert err == "error: custom_table exceeds its declared bound 1.0 at t = 0.5: value 5.0\n"
-        assert out == ("eta = 0.00414213562\n" if command == "verify" else "")
+        assert out == ""  # verify prints only after its checks
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("command", ["run", "verify"])
@@ -599,7 +626,7 @@ class TestSignalsAndColumns:
         # x, s and u are still finite but V overflows; numpy must not warn.
         path = short_smooth(tmp_path, t_end=2e-4, rho=1e-300, phi=1e-30)
         res = smcsim_cli(command, path, *(["--out", str(tmp_path)] if command == "run" else []))
-        assert res.returncode == 3
+        assert (res.returncode, res.stdout) == (3, "")  # verify prints only after its checks
         assert "RuntimeWarning" not in res.stderr
         assert "numerical blow-up: V became non-finite at t = 0.0002 s (row 2; state x = [" \
             in res.stderr

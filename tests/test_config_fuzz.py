@@ -1,6 +1,7 @@
 """Config fuzz: a mutated preset builds into a Scenario or fails with a
-ConfigError, never with another exception; and the explicit examples, run
-through the CLI, never exit 1.
+ConfigError, never with another exception, both through build_scenario and
+written to a file and loaded with a t_end override, as ``--t-end`` loads it;
+and the explicit examples, run through the CLI, never exit 1.
 
 Mutations drop a field, retype or replace a value, or swap a kind, anywhere
 in the nested dict. Scenarios are only built, never run. The custom_table
@@ -10,6 +11,7 @@ can substitute is a relative name inside it.
 
 import copy
 import json
+import os
 import warnings
 
 import pytest
@@ -18,7 +20,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from smcsim.cli import main  # noqa: E402
-from smcsim.config import build_scenario, list_presets, load_config, preset_path  # noqa: E402
+from smcsim.config import (  # noqa: E402
+    build_scenario,
+    list_presets,
+    load_config,
+    load_scenario,
+    preset_path,
+)
 from smcsim.errors import ConfigError  # noqa: E402
 from smcsim.sim import Scenario  # noqa: E402
 
@@ -111,13 +119,18 @@ def table_dir(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 @given(cfg=mutated_configs())
 def test_mutated_config_builds_or_raises_config_error(table_dir, cfg):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            scenario = build_scenario(cfg, base_dir=table_dir)
-        except ConfigError:
-            return
-    assert isinstance(scenario, Scenario)
+    path = os.path.join(table_dir, "scenario.json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    for build in (lambda: build_scenario(cfg, base_dir=table_dir),
+                  lambda: load_scenario(path, overrides={"t_end": 0.5})):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                scenario = build()
+            except ConfigError:
+                continue
+        assert isinstance(scenario, Scenario)
 
 
 for _cfg in EXAMPLES:

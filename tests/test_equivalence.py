@@ -2,12 +2,15 @@
 
 The reference integrates through the per-time methods (``controller.step``,
 ``plant.sample`` and ``plant.deriv``, each fed ``plant.inputs`` at one
-instant) with a tuple RK4, evaluating every signal at each instant as it goes; ``run_scenario``
-must reproduce every log column bit for bit. Each plant's ``run_rows``, which
+instant) with a tuple RK4, evaluating every signal at each instant as it
+goes; ``run_scenario`` must reproduce every log column bit for bit, also at
+horizons whose last row, which the runner steps through ``sample`` itself,
+is alone in its block or ends a full one. Each plant's ``run_rows``, which
 writes the surface and the RK4 stages inline, must also log what ``sample``
-gives and step as a generic RK4 step over its ``rhs``. The signal tests compare each
-vectorized ``values(t)`` with its closed form written with the math module,
-on the sample and RK4 instants the runner uses.
+gives and step as a generic RK4 step over its ``rhs``, and step no row
+beyond the block's first m. The signal tests compare each vectorized
+``values(t)`` with its closed form written with the math module, on the
+sample and RK4 instants the runner uses.
 """
 
 import math
@@ -37,9 +40,12 @@ from smcsim.sim import IntegrationSettings, Scenario, row_count, run_scenario
 
 LOG_COLUMNS = ("t", "x", "s", "u", "gain", "gain_rate", "delta_f", "V", "Vprime")
 
-# Long enough to cross block boundaries of the runner.
+# Long enough to cross block boundaries of the runner. At 2.048 the run's
+# last row is alone in its block (m = 0); at 2.047 it ends a full block.
 DT, T_END = 1e-3, 2.5
+LAST_ROW_HORIZONS = (2.048, 2.047)
 assert row_count(T_END, DT) > BLOCK
+assert [row_count(t_end, DT) for t_end in LAST_ROW_HORIZONS] == [2 * BLOCK + 1, 2 * BLOCK]
 
 
 def _rk4(f, x, t, u, h):
@@ -121,11 +127,21 @@ def assert_same_log(log, ref):
         assert np.array_equal(got, ref[name]), label
 
 
-@pytest.mark.parametrize("controller", sorted(CONTROLLERS))
-@pytest.mark.parametrize("plant", sorted(PLANTS))
-def test_runner_matches_reference_loop(plant, controller):
+def runner_cases():
+    """(plant, controller, t_end) at each horizon, with the id
+    plant-controller at T_END and plant-controller-t_end=<t_end> at the
+    others."""
+    for t_end in (T_END, *LAST_ROW_HORIZONS):
+        for plant in sorted(PLANTS):
+            for controller in sorted(CONTROLLERS):
+                suffix = "" if t_end == T_END else f"-t_end={t_end}"
+                yield pytest.param(plant, controller, t_end, id=f"{plant}-{controller}{suffix}")
+
+
+@pytest.mark.parametrize("plant, controller, t_end", runner_cases())
+def test_runner_matches_reference_loop(plant, controller, t_end):
     sc = Scenario(f"{plant}-{controller}", PLANTS[plant](), CONTROLLERS[controller](),
-                  X0[plant], IntegrationSettings(dt=DT, t_end=T_END))
+                  X0[plant], IntegrationSettings(dt=DT, t_end=t_end))
     assert_same_log(run_scenario(sc), reference_run(sc))
 
 
@@ -153,7 +169,9 @@ def block_of(plant, w0, *stages):
 def test_advance_matches_rk4_over_rhs(plant):
     # One row through run_rows, with a stub controller step holding u: the
     # step sees what sample gives, the row logs it, and the state moves by
-    # one RK4 step over rhs; with no step to take, the state stays.
+    # one RK4 step over rhs. A block with no row to step (m = 0: the run's
+    # last row alone, which the runner steps) calls no step, logs nothing
+    # and leaves the state as it was.
     p = PLANTS[plant]()
     rng = np.random.default_rng(23)
 
@@ -175,8 +193,11 @@ def test_advance_matches_rk4_over_rhs(plant):
                 return u, 0.5, -0.5
 
             assert p.run_rows(x1, x2, w, m, step, h, log) == after
-            assert seen == [(s, hdrift, g, h)]
             row = [log.x1, log.x2, log.s, log.u, log.gain, log.gain_rate, log.delta_f]
+            if m == 0:
+                assert seen == [] and row == [[]] * len(row)
+                continue
+            assert seen == [(s, hdrift, g, h)]
             if p.n_states == 1:  # the runner takes s from x1 and delta_f from w
                 assert row == [[x1], [], [], [u], [0.5], [-0.5], []] and w[0] == delta_f
             else:
