@@ -71,15 +71,15 @@ def _output_dir(path):
     return made
 
 
-def _run_into(out_dir, scenario, phi, certify=False):
+def _run_into(out_dir, scenario, phi):
     """Run scenario with its CSV streamed to <name>.csv in out_dir, then
     write <name>.metrics.json and <name>.metrics.txt there; returns its
-    compute_metrics. With certify (a delta-adaptive run on a plant with a
-    declared bound), metrics.json also records the ultimate-bound check. A
-    scenario that fails for any reason leaves none of the three files, and
-    an OSError on one of them is a ConfigError. run_scenario and
-    compute_metrics are read from cli's globals at each call, so that a
-    wrapper set on them sees the calls."""
+    compute_metrics. For a delta-adaptive scenario on a plant with a
+    declared bound, metrics.json also records the ultimate-bound check,
+    whichever command runs it. A scenario that fails for any reason leaves
+    none of the three files, and an OSError on one of them is a
+    ConfigError. run_scenario and compute_metrics are read from cli's
+    globals at each call, so that a wrapper set on them sees the calls."""
     paths = [os.path.join(out_dir, f"{scenario.name}.{ext}")
              for ext in ("csv", "metrics.json", "metrics.txt")]
     path = paths[0]
@@ -87,7 +87,7 @@ def _run_into(out_dir, scenario, phi, certify=False):
         log = run_scenario(scenario, csv_path=path)
         metrics = compute_metrics(log, phi)
         extra = {}
-        if certify:
+        if scenario.controller.kind == "delta_adaptive" and scenario.plant.true_bound is not None:
             bounds, _, r2 = _certify(scenario, log)
             if r2 is not None:
                 # Outside the certificate's preconditions there is nothing to satisfy.
@@ -149,11 +149,9 @@ def _certify(scenario, log):
 
 def cmd_run(args):
     scenario = _load(args.scenario, _overrides(args))
-    ctl = scenario.controller
-    certify = ctl.kind == "delta_adaptive" and scenario.plant.true_bound is not None
     made = _output_dir(args.out)
     try:
-        metrics = _run_into(args.out, scenario, getattr(ctl, "phi", None), certify)
+        metrics = _run_into(args.out, scenario, getattr(scenario.controller, "phi", None))
     except BaseException:
         for path in made:  # deepest first, each empty: a failed run leaves no file
             os.rmdir(path)

@@ -362,7 +362,8 @@ def load_config(path):
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file {path!r}: {exc}") from exc
-    except ValueError as exc:  # malformed JSON, undecodable bytes, an over-long integer
+    # malformed JSON, undecodable bytes, an over-long integer, too deep a nesting
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return raw
 

@@ -16,8 +16,9 @@ checked after the step, not before: the runner checks the surface, the
 control and the state of a whole block at once, so after a blow-up the rest
 of that block steps on a non-finite s (inf or NaN), whose outputs the run
 then discards as it reports the divergence. The delta-adaptive law's phi is
-refused at construction when phi*phi underflows to 0, so its shape function
-never divides by 0.
+refused at construction when phi*phi underflows to 0 or 2*phi*phi overflows
+(phi outside about 1.6e-162 to 9.48e153), so its shape function never
+divides by 0 and stays within [-1, 1].
 Each controller takes its law's parameters directly, validates them once in
 ``__init__`` and keeps them as attributes next to its adaptive state, which
 ``reset()`` returns to the initial value.

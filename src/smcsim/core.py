@@ -15,7 +15,9 @@ shape by 1/rho, so the band |s| = eta is where the adaptive gain neither
 grows nor shrinks. sgn, sat, delta_surface and adaptation_shape check
 nothing: their parameters are validated once where they are built, and the
 runner checks s once per block of rows. They raise on no float s, inf and
-NaN included, given a phi that ``_require_layer_width`` accepts.
+NaN included, given a phi that ``_require_layer_width`` accepts: one whose
+square does not underflow to 0 and whose 2*phi*phi does not overflow, so
+that adaptation_shape stays within [-1, 1] for every finite s.
 """
 
 import math
@@ -48,13 +50,17 @@ def _require_positive(name, value, zero_ok=False):
 
 def _require_layer_width(phi):
     """Accept a layer width phi as _require_positive does, and only if
-    phi*phi does not underflow to 0 (phi below about 1.6e-162):
-    adaptation_shape divides by (|s| + phi)**2, which is then at least
-    phi*phi > 0."""
+    phi*phi does not underflow to 0 (phi below about 1.6e-162) and 2*phi*phi
+    does not overflow (phi above about 9.48e153): adaptation_shape divides
+    2*phi*phi by (|s| + phi)**2, which is then at least phi*phi > 0, so the
+    quotient is finite and the shape stays within [-1, 1]."""
     _require_positive("phi", phi)
     if phi * phi == 0.0:
         raise ParameterError(f"phi = {phi!r} is too small: phi*phi underflows to 0 "
                              "(phi must be at least about 1.6e-162)")
+    if math.isinf(2.0 * phi * phi):
+        raise ParameterError(f"phi = {phi!r} is too large: 2*phi*phi overflows "
+                             "(phi must be at most about 9.48e153)")
 
 
 def sgn(s: float) -> int:

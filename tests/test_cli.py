@@ -62,6 +62,18 @@ class TestRun:
         assert rc == 2
         assert "phi" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("phi", [9.5e153, 1e200])
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_phi_whose_double_square_overflows_exits_2(self, tmp_path, capsys, command, phi):
+        # 2*phi*phi is inf: the shape function is -inf or NaN, the gain collapses.
+        out = tmp_path / "out"
+        argv = [command, short_smooth(tmp_path, t_end=0.6, phi=phi)]
+        assert main(argv + (["--out", str(out)] if command == "run" else [])) == 2
+        assert capsys.readouterr() == ("", f"error: controller: phi = {phi!r} is too large: "
+                                       "2*phi*phi overflows (phi must be at most about "
+                                       "9.48e153)\n")
+        assert not out.exists()
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2
 
@@ -85,14 +97,18 @@ class TestRun:
             f"error: --out {out}: {tmp_path / 'afile'} is not a directory\n"
         assert (tmp_path / "afile").read_text() == "kept"
 
-    @pytest.mark.parametrize("content", [b'{"name": "\xff"}', b'{"name": ' + b"1" * 5000 + b"}"],
-                             ids=["not-utf8", "5000-digit-int"])
+    @pytest.mark.parametrize("content", [b'{"name": "\xff"}', b'{"name": ' + b"1" * 5000 + b"}",
+                                         b"[" * 100_000 + b"]" * 100_000],
+                             ids=["not-utf8", "5000-digit-int", "100000-deep"])
     def test_undecodable_scenario_file_exits_2(self, tmp_path, capsys, content):
-        # bytes that are not UTF-8, and an integer past Python's 4300-digit limit
+        # bytes that are not UTF-8, an integer past Python's 4300-digit limit,
+        # and lists nested past the recursion limit of json.load
         path = tmp_path / "scenario.json"
         path.write_bytes(content)
         assert main(["run", str(path), "--out", str(tmp_path)]) == 2
-        assert "invalid JSON" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and "invalid JSON" in err
+        assert os.listdir(tmp_path) == ["scenario.json"]
 
     @pytest.mark.parametrize("bad_row", ["0.5,abc", "0.5"])
     def test_malformed_table_row_exits_2(self, tmp_path, capsys, bad_row):
@@ -309,6 +325,27 @@ class TestCompare:
         main(["compare", *files, "--out", str(tmp_path / "cmp")])
         out = capsys.readouterr().out
         assert "* lowest chattering_index: compare-smooth-adaptive" in out
+
+    def test_run_and_compare_write_the_same_files(self, tmp_path, capsys):
+        # What a scenario's files record does not depend on the command: the
+        # first scenario sets the group's band yardstick, so compare writes
+        # the bytes that run writes, the ultimate-bound record included.
+        files = []
+        for preset in TRIO:
+            cfg = load_config(preset_path(preset))
+            cfg["integration"]["t_end"] = 1.0
+            files.append(write_scenario(tmp_path, cfg, preset + ".json"))
+        assert main(["run", files[0], "--out", str(tmp_path / "run")]) == 0
+        assert main(["compare", *files, "--out", str(tmp_path / "cmp")]) == 0
+        for ext in ("metrics.json", "metrics.txt", "csv"):
+            name = f"{TRIO[0]}.{ext}"
+            assert (tmp_path / "run" / name).read_bytes() == \
+                (tmp_path / "cmp" / name).read_bytes(), name
+        assert "ultimate_bound" in json.loads((tmp_path / "cmp" / f"{TRIO[0]}.metrics.json")
+                                              .read_text())
+        for preset in TRIO[1:]:
+            payload = json.loads((tmp_path / "cmp" / f"{preset}.metrics.json").read_text())
+            assert "ultimate_bound" not in payload, preset
 
     def test_mismatched_plants_rejected(self, tmp_path, capsys):
         a = short_smooth(tmp_path, name="a.json")

@@ -106,6 +106,9 @@ EXAMPLES = [
     # phi*phi underflows to 0, and the shape function divided by it at s = 0.
     {**_with("regulation-smooth", "controller", phi=1e-200), "x0": [0.0],
      "integration": {"dt": 1e-4, "substeps": 1, "t_end": 0.01}},
+    # 2*phi*phi overflows: the shape function is -inf or NaN and the gain collapses.
+    {**_with("regulation-smooth", "controller", phi=1e200),
+     "integration": {"dt": 1e-4, "substeps": 1, "t_end": 0.6}},
 ]
 
 

@@ -214,8 +214,8 @@ class TestDeltaAdaptive:
             delta(phi=0.01, k=500.0)  # 1/eta ~ 241
 
     def test_param_rejections(self):
-        for bad in (dict(phi=0.0), dict(phi=1e-200), dict(rho=-1.0), dict(k=-0.1),
-                    dict(mu_hat0=0.0)):
+        for bad in (dict(phi=0.0), dict(phi=1e-200), dict(phi=9.5e153), dict(phi=1e200),
+                    dict(rho=-1.0), dict(k=-0.1), dict(mu_hat0=0.0)):
             with pytest.raises(ParameterError):
                 delta(**bad)
 

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -246,6 +247,13 @@ class TestOvershootBound:
         assert overshoot_bound(0.0, 1.0, 1.6e-162).feasible
         with pytest.raises(ParameterError):
             overshoot_bound(1.0, 0.0, 0.01)
+
+    def test_phi_whose_double_square_overflows_is_refused(self):
+        # adaptation_shape's 2*phi*phi is then inf: the shape is -inf or NaN.
+        for phi in (9.5e153, 1e200):
+            with pytest.raises(ParameterError, match=rf"phi = {re.escape(repr(phi))} is too large"):
+                overshoot_bound(0.0, 1.0, phi)
+        overshoot_bound(0.0, 1.0, 9.4e153)  # 2*phi*phi is finite: accepted
 
 
 class TestWorstCaseResponse:
